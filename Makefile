@@ -100,12 +100,12 @@ sarif:
 	@echo "wrote soleil.sarif soleil-arch.sarif"
 
 # Empirical counterpart of the //soleil:noheap annotations: run the
-# metered-dispatch, admission-gate and observability hot-path
-# benchmarks with -benchmem and fail if any reports a non-zero
-# allocs/op.
+# metered-dispatch, admission-gate, observability and release-wake
+# hot-path benchmarks with -benchmem and fail if any reports a
+# non-zero allocs/op.
 benchcheck:
 	@out=$$($(GO) test -run NONE -bench 'HotPath|DispatchMetered|DispatchAdmitted|GateAdmit' -benchmem -benchtime 1000x \
-		./internal/obs/ ./internal/membrane/ ./internal/qos/) || { echo "$$out"; exit 1; }; \
+		./internal/obs/ ./internal/membrane/ ./internal/qos/ ./internal/assembly/) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '/allocs\/op/ && $$(NF-1)+0 > 0 { bad=1; print "benchcheck: " $$1 " allocates on the hot path" } END { exit bad+0 }'
 	$(GO) test -run TestSummaryBudget ./internal/lint/

@@ -3,6 +3,7 @@ package assembly
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soleil/internal/comm"
@@ -35,14 +36,15 @@ type Node interface {
 }
 
 // taskHolder defers the task wiring of notify ports until threads are
-// spawned.
+// spawned, and holds the wake channel a wall-clock pacer publishes.
 type taskHolder struct {
 	task *sched.Task
+	wake atomic.Pointer[chan struct{}]
 }
 
-// notifyPort wraps an async stub so that, under the simulated
-// scheduler, each Send also releases the receiving component's
-// sporadic task.
+// notifyPort wraps an async stub so that each Send also releases the
+// receiving component: under the simulated scheduler by firing its
+// sporadic task, under a wall-clock pacer by posting a wake token.
 type notifyPort struct {
 	inner  membrane.Port
 	target *taskHolder
@@ -61,7 +63,20 @@ func (p *notifyPort) Send(env *thread.Env, op string, arg any) error {
 	if tc := env.Sched(); tc != nil && p.target.task != nil {
 		return tc.Fire(p.target.task)
 	}
+	if wake := p.target.wake.Load(); wake != nil {
+		post(*wake)
+	}
 	return nil
+}
+
+// post leaves a wake token on a pacer's wake channel. A token already
+// pending means a release is already due, which drains this message
+// too.
+func post(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
 }
 
 // --- SOLEIL ---------------------------------------------------------------------

@@ -15,14 +15,13 @@ import (
 // single-use — the right tool for analysis, the wrong one for a node
 // agent that must serve a partition indefinitely while peers dial in.
 // The pacer is the serving-mode counterpart: one goroutine per active
-// component re-creates the generated activation loop (deliver pending
-// async messages, then run the component's own logic at its declared
-// period) against the real clock, with thread-body errors absorbed
+// component re-creates the generated activation loop against the real
+// clock (periodic components at their declared period, sporadic and
+// aperiodic ones on message arrival), with thread-body errors absorbed
 // resiliently so a failing component degrades under supervision
 // instead of taking its driver down.
 type Pacer struct {
-	sys  *System
-	opts PacerOptions
+	sys *System
 
 	activations atomic.Int64
 	deliveries  atomic.Int64
@@ -34,37 +33,22 @@ type Pacer struct {
 	wg      sync.WaitGroup
 }
 
-// PacerOptions tunes a Pacer. The zero value is serviceable.
+// PacerOptions tunes a Pacer. The zero value is the only setting.
 type PacerOptions struct {
-	// Scale multiplies every declared period (default 1.0). A scale
-	// above 1 slows the system down uniformly — useful when an
-	// architecture designed for virtual time would busy-spin a demo
-	// host.
-	Scale float64
-	// SporadicPoll is the polling interval for sporadic and aperiodic
-	// components without a declared minimum interarrival time
-	// (default 2ms): their inbound buffers are drained at this rate,
-	// standing in for the scheduler's arrival-triggered releases.
+	// Deprecated: sporadic and aperiodic components are released on
+	// message arrival, so there is no polling interval to tune. The
+	// field is ignored.
 	SporadicPoll time.Duration
-	// OnError, when set, observes every absorbed activation error
-	// (after it is recorded in the system's error ring).
-	OnError func(component string, err error)
 }
 
 // NewPacer prepares a pacer for every active primitive of the system.
 // The system must be deployed in SOLEIL mode (the serving mode) and
 // is Start()ed by Run if it has not been already.
-func NewPacer(sys *System, opts PacerOptions) (*Pacer, error) {
+func NewPacer(sys *System, _ PacerOptions) (*Pacer, error) {
 	if sys.Mode() != Soleil {
 		return nil, fmt.Errorf("assembly: pacer requires SOLEIL mode, not %v", sys.Mode())
 	}
-	if opts.Scale <= 0 {
-		opts.Scale = 1.0
-	}
-	if opts.SporadicPoll <= 0 {
-		opts.SporadicPoll = 2 * time.Millisecond
-	}
-	return &Pacer{sys: sys, opts: opts}, nil
+	return &Pacer{sys: sys}, nil
 }
 
 // Run starts the system (if needed) and launches one driver goroutine
@@ -96,85 +80,108 @@ func (p *Pacer) Run() error {
 			p.wg.Wait()
 			return fmt.Errorf("assembly: pacer env for %q: %w", c.Name(), err)
 		}
+		var wake chan struct{}
+		if act.Kind != model.PeriodicActivation {
+			// The initial token releases the component once, draining
+			// whatever was queued before the channel was published.
+			wake = make(chan struct{}, 1)
+			wake <- struct{}{}
+			p.sys.holders[c.Name()].wake.Store(&wake)
+		}
 		p.wg.Add(1)
-		go p.drive(node, act, env, closeEnv)
+		go p.drive(node, act, wake, env, closeEnv)
 	}
 	p.started = true
 	return nil
 }
 
-// interval maps release parameters onto a wall-clock tick.
-func (p *Pacer) interval(act model.Activation) time.Duration {
-	d := act.Period
-	if d <= 0 {
-		d = p.opts.SporadicPoll
-	}
-	d = time.Duration(float64(d) * p.opts.Scale)
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	return d
-}
-
-func (p *Pacer) drive(node Node, act model.Activation, env *thread.Env, closeEnv func()) {
+func (p *Pacer) drive(node Node, act model.Activation, wake chan struct{}, env *thread.Env, closeEnv func()) {
 	defer p.wg.Done()
 	defer closeEnv()
 
-	if act.Kind == model.AperiodicActivation {
-		// One release, as the generated loop does; then keep
-		// delivering inbound messages.
-		p.step(node, env, true)
+	var mit time.Duration
+	switch act.Kind {
+	case model.PeriodicActivation:
+		ticker := time.NewTicker(act.Period)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-ticker.C:
+				p.deliver(node, env)
+				p.activate(node, env)
+			}
+		}
+	case model.SporadicActivation:
+		mit = act.Period
+	default:
+		// One release of its own logic, as the generated loop does.
+		p.activate(node, env)
 	}
-	ticker := time.NewTicker(p.interval(act))
-	defer ticker.Stop()
+
+	// Arrival-driven releases, each held until the minimum
+	// interarrival time since the previous one has passed (the rule
+	// of the scheduler's fireArrival).
+	hold := time.NewTimer(time.Hour)
+	hold.Stop()
+	defer hold.Stop()
+	var last time.Time
 	for {
+		<-wake
 		select {
 		case <-p.stop:
 			return
-		case <-ticker.C:
-			p.step(node, env, act.Kind == model.PeriodicActivation)
+		default:
+		}
+		if mit > 0 {
+			if wait := time.Until(last.Add(mit)); wait > 0 {
+				hold.Reset(wait)
+				select {
+				case <-p.stop:
+					return
+				case <-hold.C:
+				}
+			}
+			last = time.Now()
+		}
+		if !p.deliver(node, env) {
+			// The drain stopped at an error, maybe with messages
+			// still queued: release again for them.
+			post(wake)
 		}
 	}
 }
 
-// step is one wall-clock release: drain inbound async buffers, then
-// (for components with their own logic) activate. Errors and panics
-// are absorbed into the system's error ring — the resilient execution
-// discipline supervised nodes run under.
-func (p *Pacer) step(node Node, env *thread.Env, activate bool) {
-	p.absorb(node.Name(), func() error {
+// deliver drains the component's inbound async buffers and reports
+// whether the drain ran to completion.
+func (p *Pacer) deliver(node Node, env *thread.Env) bool {
+	return p.run(node, func() error {
 		n, err := node.Deliver(env)
 		p.deliveries.Add(int64(n))
 		return err
 	})
-	if activate {
-		p.absorb(node.Name(), func() error {
-			if err := node.Activate(env); err != nil {
-				return err
-			}
-			p.activations.Add(1)
-			return nil
-		})
-	}
 }
 
-func (p *Pacer) absorb(name string, fn func() error) {
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		err = fn()
-	}()
-	if err != nil {
-		p.errors.Add(1)
-		p.sys.recordErr(fmt.Errorf("%s: %w", name, err))
-		if p.opts.OnError != nil {
-			p.opts.OnError(name, err)
+// activate runs one release of the component's own logic.
+func (p *Pacer) activate(node Node, env *thread.Env) {
+	p.run(node, func() error {
+		if err := node.Activate(env); err != nil {
+			return err
 		}
+		p.activations.Add(1)
+		return nil
+	})
+}
+
+// run performs one driver operation under the resilient discipline
+// supervised nodes run under, and reports whether it succeeded.
+func (p *Pacer) run(node Node, fn func() error) bool {
+	if p.sys.absorb(node.Name(), true, fn) != nil {
+		p.errors.Add(1)
+		return false
 	}
+	return true
 }
 
 // Activations returns how many component releases have run.
@@ -196,6 +203,13 @@ func (p *Pacer) Close() {
 		return
 	}
 	close(p.stop)
+	// Arrival-driven drivers wait on their wake channel alone, the
+	// cheapest wait: wake them to see the stop.
+	for _, h := range p.sys.holders {
+		if wake := h.wake.Load(); wake != nil {
+			post(*wake)
+		}
+	}
 	p.wg.Wait()
 	p.started = false
 }

@@ -666,24 +666,24 @@ func (s *System) buildThreads() error {
 // system keeps running. The return value reports whether the loop
 // must stop.
 func (s *System) step(name string, fn func() error) (stop bool) {
-	var err error
-	if s.resilient {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("panic: %v", r)
-				}
-			}()
-			err = fn()
-		}()
-	} else {
-		err = fn()
-	}
-	if err != nil {
-		s.recordErr(fmt.Errorf("%s: %w", name, err))
-		return !s.resilient
-	}
-	return false
+	return s.absorb(name, s.resilient, fn) != nil && !s.resilient
+}
+
+// absorb runs one operation of the named component and records its
+// error, if any, in the system's error ring. With recoverPanics a
+// panic becomes a recorded error too.
+func (s *System) absorb(name string, recoverPanics bool, fn func() error) (err error) {
+	defer func() {
+		if recoverPanics {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}
+		if err != nil {
+			s.recordErr(fmt.Errorf("%s: %w", name, err))
+		}
+	}()
+	return fn()
 }
 
 // threadBody produces the generated activation loop of an active

@@ -158,12 +158,18 @@ func (b *Buffer) Dequeue() (v any, ok bool) {
 	if b.count == 0 {
 		return nil, false
 	}
-	v = b.ring[b.head]
+	return b.pop(), true
+}
+
+// pop removes the oldest message; the caller holds mu and has checked
+// that the buffer is not empty.
+func (b *Buffer) pop() any {
+	v := b.ring[b.head]
 	b.ring[b.head] = nil
 	b.head = (b.head + 1) % b.capacity
 	b.count--
 	b.stats.Dequeued++
-	return v, true
+	return v
 }
 
 // RTBuffer is the RTSJ-conscious buffer used by the generated
@@ -271,18 +277,42 @@ func (b *RTBuffer) Enqueue(ctx *memory.Context, payload any) error {
 // Dequeue removes the oldest message and returns its payload,
 // deep-copied out under the consumer's allocation context so the
 // consumer never holds a reference into the buffer's area.
+//
+// The payload is copied out before the head advances: until then the
+// slot still counts as occupied, so a producer filling the buffer
+// cannot reuse it mid-copy.
 func (b *RTBuffer) Dequeue(ctx *memory.Context) (any, bool, error) {
-	v, ok := b.buf.Dequeue()
-	if !ok {
-		return nil, false, nil
+	for {
+		b.buf.mu.Lock()
+		if b.buf.count == 0 {
+			b.buf.mu.Unlock()
+			return nil, false, nil
+		}
+		v, dropped := b.buf.ring[b.buf.head], b.buf.stats.Dropped
+		b.buf.mu.Unlock()
+
+		var payload any
+		var err error
+		if ref, isRef := v.(*memory.Ref); !isRef {
+			err = fmt.Errorf("comm: foreign message in rt buffer %s", b.buf.name)
+		} else if payload, err = ctx.Load(ref); err != nil {
+			err = fmt.Errorf("comm: dequeue on %s: %w", b.buf.name, err)
+		} else {
+			payload = patterns.CopyValue(payload)
+		}
+
+		b.buf.mu.Lock()
+		if b.buf.policy == DropOldest && b.buf.stats.Dropped != dropped {
+			// The producer dropped the oldest message, this one, and
+			// may have refilled its slot while it was being read.
+			b.buf.mu.Unlock()
+			continue
+		}
+		b.buf.pop()
+		b.buf.mu.Unlock()
+		if err != nil {
+			return nil, true, err
+		}
+		return payload, true, nil
 	}
-	ref, isRef := v.(*memory.Ref)
-	if !isRef {
-		return nil, true, fmt.Errorf("comm: foreign message in rt buffer %s", b.buf.name)
-	}
-	payload, err := ctx.Load(ref)
-	if err != nil {
-		return nil, true, fmt.Errorf("comm: dequeue on %s: %w", b.buf.name, err)
-	}
-	return patterns.CopyValue(payload), true, nil
 }

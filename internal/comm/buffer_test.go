@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -304,5 +305,84 @@ func TestStatsReportsInstantDepth(t *testing.T) {
 	// watermark.
 	if st := b.Stats(); st.Depth != 1 || st.MaxDepth != 3 {
 		t.Fatalf("stats after drain = %+v", st)
+	}
+}
+
+// TestRTBufferSPSCStress runs one producer against one consumer on a
+// two-slot buffer, so the producer is almost always waiting for, or
+// overwriting, the slot the consumer is copying out. Under Refuse
+// (the producer retries on ErrFull) every message must arrive once and
+// in order; under DropOldest some are dropped, but what arrives must
+// still be strictly increasing and end with the last message. A slot
+// released before its payload is copied would be overwritten by the
+// next enqueue, duplicating one message and losing another.
+func TestRTBufferSPSCStress(t *testing.T) {
+	const n = 10000
+	for _, policy := range []OverflowPolicy{Refuse, DropOldest} {
+		rt := memory.NewRuntime()
+		b, err := NewRTBuffer("spsc", 2, policy, rt.Immortal(), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			ctx, err := memory.NewContext(rt.Immortal(), false)
+			if err != nil {
+				done <- err
+				return
+			}
+			defer ctx.Close()
+			spins := 0
+			for i := 0; i < n; {
+				err := b.Enqueue(ctx, i)
+				switch {
+				case err == nil:
+					i++
+				case errors.Is(err, ErrFull):
+					yieldSometimes(&spins)
+				default:
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+
+		ctx, err := memory.NewContext(rt.Immortal(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spins := 0
+		for last := -1; last < n-1; {
+			v, ok, err := b.Dequeue(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				yieldSometimes(&spins)
+				continue
+			}
+			got := v.(int)
+			if got <= last || policy == Refuse && got != last+1 {
+				t.Fatalf("policy %d: dequeued %d after %d", policy, got, last)
+			}
+			last = got
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := b.Dequeue(ctx); ok {
+			t.Fatalf("policy %d: extra message after the sequence", policy)
+		}
+		ctx.Close()
+	}
+}
+
+// yieldSometimes lets a spinning test goroutine retry at full speed,
+// which keeps the producer and consumer racing for the same slot, yet
+// still yields often enough to progress on a single processor.
+func yieldSometimes(spins *int) {
+	if *spins++; *spins%64 == 0 {
+		runtime.Gosched()
 	}
 }

@@ -17,11 +17,10 @@ import (
 
 // Panel (d) extends the paper's evaluation to the cluster deployment
 // plane: the same ping-pong architecture measured once deployed on a
-// single node (asynchronous bindings over in-process RTBuffers,
-// released by sporadic polling) and once partitioned across two nodes
-// over loopback TCP (the planner's dist links). The comparison prices
-// a node boundary against an in-process buffer under identical
-// pacing.
+// single node (asynchronous bindings over in-process RTBuffers, each
+// message releasing its receiver on arrival) and once partitioned
+// across two nodes over loopback TCP (the planner's dist links). The
+// comparison prices a node boundary against an in-process buffer.
 
 // ClusterScenarios names the panel-(d) variants in report order.
 var ClusterScenarios = []string{"in-process", "cluster-loopback"}
@@ -145,10 +144,10 @@ func pingPongArch() (*model.Architecture, error) {
 	}
 	for _, b := range []model.Binding{
 		{Client: model.Endpoint{Component: "Pinger", Interface: "out"},
-			Server: model.Endpoint{Component: "Echo", Interface: "in"},
+			Server:   model.Endpoint{Component: "Echo", Interface: "in"},
 			Protocol: model.Asynchronous, BufferSize: 128, Pattern: "deep-copy"},
 		{Client: model.Endpoint{Component: "Echo", Interface: "back"},
-			Server: model.Endpoint{Component: "Pinger", Interface: "ack"},
+			Server:   model.Endpoint{Component: "Pinger", Interface: "ack"},
 			Protocol: model.Asynchronous, BufferSize: 128, Pattern: "deep-copy"},
 	} {
 		if _, err := a.Bind(b); err != nil {
@@ -233,9 +232,6 @@ func MeasureClusterScenario(scenario string, messages, inflight int) (ClusterRes
 			Registry: reg,
 			Resolver: resolve,
 			Dial:     dist.DialConfig{Timeout: 2 * time.Second, Base: time.Millisecond, Max: 20 * time.Millisecond},
-			// Tight sporadic polling so the in-process variant's
-			// release latency is pacing, not the 2ms default.
-			Pacer: assembly.PacerOptions{SporadicPoll: 100 * time.Microsecond},
 		})
 		if err != nil {
 			return ClusterResult{}, err

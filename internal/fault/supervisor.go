@@ -7,7 +7,6 @@ import (
 
 	"soleil/internal/comm"
 	"soleil/internal/obs"
-	"soleil/internal/trace"
 )
 
 // Restarter applies lifecycle operations to components — the
@@ -400,21 +399,6 @@ func MissProbe(misses func() int64, maxNew int64) Probe {
 		mu.Unlock()
 		if delta > maxNew {
 			return Health{Reason: fmt.Sprintf("%d deadline misses since last poll (max %d)", delta, maxNew)}
-		}
-		return healthyState
-	}
-}
-
-// LatencyProbe watches a trace collector's steady-state distribution:
-// unhealthy when the p99 execution time exceeds bound. The collector
-// is the same one the benchmarking harness feeds.
-func LatencyProbe(col *trace.Collector, bound time.Duration) Probe {
-	return func() Health {
-		if col == nil || col.Len() == 0 {
-			return healthyState
-		}
-		if p99 := col.Summarize().P99; p99 > bound {
-			return Health{Reason: fmt.Sprintf("p99 %v exceeds bound %v", p99, bound)}
 		}
 		return healthyState
 	}

@@ -17,18 +17,8 @@ type RunConfig struct {
 	// mode (panics and errors absorbed); cluster agents are always
 	// resilient. Ignored when Spec.Nodes > 1.
 	Resilient bool
-	// SporadicPoll is the pacer's sporadic drain cadence (default
-	// 200µs — tight enough that pacing is not the dominant latency).
-	SporadicPoll time.Duration
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-}
-
-func (rc RunConfig) withDefaults() RunConfig {
-	if rc.SporadicPoll <= 0 {
-		rc.SporadicPoll = 200 * time.Microsecond
-	}
-	return rc
 }
 
 // Result is one scenario run's report row.
@@ -81,7 +71,6 @@ func modeName(spec Spec, rc RunConfig) string {
 // agent per node over loopback TCP, injecting into whichever agents
 // host the entry components.
 func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
-	rc = rc.withDefaults()
 	scn, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -110,7 +99,7 @@ func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pacer, err := assembly.NewPacer(sys, assembly.PacerOptions{SporadicPoll: rc.SporadicPoll})
+		pacer, err := assembly.NewPacer(sys, assembly.PacerOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +145,6 @@ func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
 				Registry: reg,
 				Resolver: resolve,
 				Dial:     dist.DialConfig{Timeout: 2 * time.Second, Base: time.Millisecond, Max: 20 * time.Millisecond},
-				Pacer:    assembly.PacerOptions{SporadicPoll: rc.SporadicPoll},
 			})
 			if err != nil {
 				closeAgents()
