@@ -368,35 +368,20 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	var tasks []analysis.Task
-	for _, c := range arch.ComponentsOfKind(model.Active) {
-		act := c.Activation()
-		if act.Kind != model.PeriodicActivation || act.Cost <= 0 {
-			continue
-		}
-		td, err := arch.EffectiveThreadDomain(c)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, analysis.Task{
-			Name: c.Name(), Period: act.Period, Cost: act.Cost,
-			Deadline: act.Deadline, Priority: td.Domain().Priority,
-		})
-	}
-	if len(tasks) == 0 {
+	p := validate.NewPricing(arch, nil, 0)
+	if len(p.Tasks) == 0 {
 		fmt.Println("no periodic components with cost budgets; nothing to analyze")
 		return nil
 	}
-	u := analysis.Utilization(tasks)
-	ok, _, bound := analysis.RMUtilizationTest(tasks)
+	u := analysis.Utilization(p.Tasks)
+	ok, _, bound := analysis.RMUtilizationTest(p.Tasks)
 	fmt.Printf("utilization %.3f (Liu-Layland bound for n=%d: %.3f, sufficient test: %v)\n",
-		u, len(tasks), bound, ok)
-	rs, err := analysis.ResponseTimeAnalysis(tasks)
-	if err != nil {
-		return err
+		u, len(p.Tasks), bound, ok)
+	if p.RTAErr != nil {
+		return p.RTAErr
 	}
 	schedulable := true
-	for _, r := range rs {
+	for _, r := range p.Responses {
 		status := "OK"
 		if !r.Schedulable {
 			status = "MISS"

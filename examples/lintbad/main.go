@@ -27,11 +27,10 @@
 //	SA08 — Pump declares cost=1ms but its Invoke path drains the
 //	       channel in an unbounded loop and consumes 5ms of CPU
 //	SA09 — the contracted Pump→Tank binding promises a 1ms latency
-//	       budget, but four queued messages ahead of a 10ms-period
-//	       server already cost 40ms before Tank even runs
+//	       budget, but a message queued for the 10ms-period Tank waits
+//	       up to 10ms for the release that drains it
 //	SA10 — Tank serves 4ms of work per release (capacity 250/s) while
-//	       its contracts admit 150+200 = 350 msg/s, and the 4-slot
-//	       Pump→Tank buffer refills faster than one drain per period
+//	       its contracts admit 150+200 = 350 msg/s
 //	SA11 — pump.Invoke spawns watch(), which loops forever with no
 //	       stop signal, once per dispatch
 package main

@@ -36,7 +36,8 @@ type Node interface {
 }
 
 // taskHolder defers the task wiring of notify ports until threads are
-// spawned, and holds the wake channel a wall-clock pacer publishes.
+// spawned (only a sporadic receiver's task is wired), and holds the
+// wake channel a wall-clock pacer publishes.
 type taskHolder struct {
 	task *sched.Task
 	wake atomic.Pointer[chan struct{}]

@@ -655,7 +655,12 @@ func (s *System) buildThreads() error {
 			return fmt.Errorf("assembly: spawning %q: %w", c.Name(), err)
 		}
 		s.threads[c.Name()] = th
-		s.holders[c.Name()].task = th.Task()
+		// Arrivals release sporadic tasks only: a periodic server
+		// drains at its period boundaries, and the scheduler refuses
+		// to fire any other kind.
+		if act.Kind == model.SporadicActivation {
+			s.holders[c.Name()].task = th.Task()
+		}
 	}
 	return nil
 }

@@ -151,7 +151,7 @@ func TestQueueSizing(t *testing.T) {
 		if strings.Contains(d.Message, "utilization") {
 			fanIn = true
 		}
-		if strings.Contains(d.Message, "overflows regardless of its size") {
+		if strings.Contains(d.Message, "buffer overflows") {
 			overflow = true
 		}
 	}

@@ -160,9 +160,6 @@ func RunArchPasses(facts *ArchFacts, analyzers []*ArchAnalyzer) ([]validate.Diag
 		analyzers = AllArch()
 	}
 	facts.EnsureEngine("", nil)
-	if facts.LinkPenalty == 0 {
-		facts.LinkPenalty = defaultLinkPenalty
-	}
 	var diags []validate.Diagnostic
 	render := func(f Finding) validate.Diagnostic {
 		d := validate.Diagnostic{
@@ -244,7 +241,7 @@ func RunArch(opts Options) ([]validate.Diagnostic, error) {
 		return nil, err
 	}
 	facts.EnsureEngine(opts.FactsDir, opts.Stats)
-	facts.LinkPenalty = linkPenaltyFromBench(opts.Dir)
+	facts.LinkPenalty = validate.LinkPenaltyFromBench(opts.Dir)
 	ds, err := RunArchPasses(facts, opts.ArchAnalyzers)
 	if err != nil {
 		return nil, err

@@ -5,12 +5,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"soleil/internal/validate"
 )
 
-// TestLinkPenaltyFromBench pins the two BENCH_cluster.json schemas
-// the flow-latency analyzer must price links from: the shared bench
-// envelope ({panel, commit, goos, rows}) current files use, and the
-// pre-unification layout that keyed the same rows as "scenarios".
+// TestLinkPenaltyFromBench pins how the flow-latency analyzer prices
+// links from BENCH_cluster.json: the cluster-loopback row of the
+// shared bench envelope ({panel, commit, goos, rows}), halved, or the
+// default when the row or the file is unusable.
 func TestLinkPenaltyFromBench(t *testing.T) {
 	cases := []struct {
 		name string
@@ -25,20 +27,14 @@ func TestLinkPenaltyFromBench(t *testing.T) {
 			want: 150 * time.Microsecond,
 		},
 		{
-			name: "legacy",
-			doc: `{"generatedAt":"2026-01-01T00:00:00Z","scenarios":[
-				{"scenario":"cluster-loopback","rttMedian":400000}]}`,
-			want: 200 * time.Microsecond,
-		},
-		{
 			name: "missing-row",
 			doc:  `{"panel":"d","rows":[{"scenario":"in-process","rttMedian":2000000}]}`,
-			want: defaultLinkPenalty,
+			want: validate.DefaultLinkPenalty,
 		},
 		{
 			name: "corrupt",
 			doc:  `{nope`,
-			want: defaultLinkPenalty,
+			want: validate.DefaultLinkPenalty,
 		},
 	}
 	for _, tc := range cases {
@@ -47,8 +43,8 @@ func TestLinkPenaltyFromBench(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, "BENCH_cluster.json"), []byte(tc.doc), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if got := linkPenaltyFromBench(dir); got != tc.want {
-				t.Fatalf("linkPenaltyFromBench = %v, want %v", got, tc.want)
+			if got := validate.LinkPenaltyFromBench(dir); got != tc.want {
+				t.Fatalf("LinkPenaltyFromBench = %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -66,7 +62,7 @@ func TestLinkPenaltySearchesParents(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "BENCH_cluster.json"), []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := linkPenaltyFromBench(sub), 300*time.Microsecond; got != want {
-		t.Fatalf("linkPenaltyFromBench from subdir = %v, want %v", got, want)
+	if got, want := validate.LinkPenaltyFromBench(sub), 300*time.Microsecond; got != want {
+		t.Fatalf("LinkPenaltyFromBench from subdir = %v, want %v", got, want)
 	}
 }

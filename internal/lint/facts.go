@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"soleil/internal/model"
+	"soleil/internal/validate"
 )
 
 // ArchFacts is the fused model the whole-architecture passes
@@ -40,8 +41,13 @@ type ArchFacts struct {
 	Eng *Engine
 	// LinkPenalty is the per-hop latency charged by SA09 for a binding
 	// whose endpoints are assigned to different nodes; priced from
-	// BENCH_cluster.json when available, else a conservative default.
+	// BENCH_cluster.json when available, else (when 0) the pricing
+	// core's default.
 	LinkPenalty time.Duration
+
+	// pricing is the binding timing model SA09 and SA10 share, built
+	// on first use (Pricing).
+	pricing *validate.Pricing
 
 	// supp indexes the //soleil:ignore directives of every loaded
 	// package, keyed by filename.
@@ -58,6 +64,15 @@ func (f *ArchFacts) EnsureEngine(factsDir string, stats *CacheStats) {
 	if stats != nil {
 		*stats = f.Eng.Stats()
 	}
+}
+
+// Pricing returns the architecture's timing model (RTA, capacities,
+// drain rule, admitted rates, link penalty), built once per facts.
+func (f *ArchFacts) Pricing() *validate.Pricing {
+	if f.pricing == nil {
+		f.pricing = validate.NewPricing(f.Arch, f.Assign, f.LinkPenalty)
+	}
+	return f.pricing
 }
 
 // An Impl is one registered implementation of a content class: the

@@ -1,17 +1,13 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
 	"soleil/internal/model"
-	"soleil/internal/rtsj/analysis"
 	"soleil/internal/validate"
 )
 
@@ -29,13 +25,16 @@ import (
 //   - serve: the server's worst-case response from the same
 //     response-time analysis the validator runs (RT12), falling back
 //     to the declared cost when the server is outside the task set;
-//   - queue residence: for an asynchronous hop, a full buffer of
-//     BufferSize releases drained one per activation interval
-//     (period for periodic servers, minimum interarrival for
-//     sporadic ones);
+//   - queue residence: for an asynchronous hop, one activation
+//     interval of the server (period for periodic servers, minimum
+//     interarrival for sporadic ones) — a release drains every queued
+//     message, so none waits longer;
 //   - link: a cross-node penalty when the deployment assigns the
 //     endpoints to different nodes, priced from the measured
 //     cluster-loopback round trip in BENCH_cluster.json.
+//
+// All three come from the pricing core (validate.Pricing), the model
+// RT12, RT13 and RT16 judge with.
 //
 // Two checks: every path ending in a binding with a latencyBudget
 // must fit the budget (worst path reported per contract), and every
@@ -51,17 +50,13 @@ var FlowLatency = &ArchAnalyzer{
 	Run: runFlowLatency,
 }
 
-// defaultLinkPenalty is the cross-node hop price when no benchmark
-// file is available: the order of a loopback TCP round trip.
-const defaultLinkPenalty = 300 * time.Microsecond
-
 // flowPathCap bounds the simple-path enumeration; architectures are
 // small, this is a defensive ceiling.
 const flowPathCap = 4096
 
 func runFlowLatency(p *ArchPass) error {
 	facts := p.Facts
-	responses := rtaResponses(facts.Arch)
+	pr := facts.Pricing()
 	out := map[string][]*model.Binding{}
 	for _, b := range facts.Arch.Bindings() {
 		out[b.Client.Component] = append(out[b.Client.Component], b)
@@ -93,8 +88,7 @@ func runFlowLatency(p *ArchPass) error {
 				continue // cycles are SA05's finding, not a latency path
 			}
 			paths++
-			h := hopLatency(facts, responses, b)
-			total := sum + h
+			total := sum + pr.Hop(b)
 			path = append(path, b)
 			if c := b.Contract; c != nil && c.LatencyBudget > 0 {
 				if w, ok := worstPerContract[b]; !ok || total > w.sum {
@@ -137,9 +131,9 @@ func runFlowLatency(p *ArchPass) error {
 			Severity: validate.Error,
 			Subject:  b.String(),
 			Message: fmt.Sprintf("end-to-end worst-case latency %v along %s exceeds the contract's latencyBudget %v: %s",
-				w.sum, pathString(w.path), b.Contract.LatencyBudget, hopBreakdown(facts, responses, w.path)),
-			Suggestion: "shrink upstream buffers, speed up the servers on the path, or raise the budget to what the path can deliver",
-			Flow:       pathFlow(facts, responses, w.path),
+				w.sum, pathString(w.path), b.Contract.LatencyBudget, hopBreakdown(pr, w.path)),
+			Suggestion: "shorten the activation intervals of queued servers on the path, speed the servers up, or raise the budget to what the path can deliver",
+			Flow:       pathFlow(facts, pr, w.path),
 		})
 	}
 
@@ -175,98 +169,12 @@ func runFlowLatency(p *ArchPass) error {
 			Subject:  origin,
 			Message: fmt.Sprintf("synchronous chain %s costs %v in the worst case, exceeding %s's deadline %v: "+
 				"the client blocks through the whole chain inside its own release (%s)",
-				pathString(w.path), w.sum, origin, deadline, hopBreakdown(facts, responses, w.path)),
+				pathString(w.path), w.sum, origin, deadline, hopBreakdown(pr, w.path)),
 			Suggestion: "make a hop asynchronous to decouple the chain from the client's release, or shorten the path",
-			Flow:       pathFlow(facts, responses, w.path),
+			Flow:       pathFlow(facts, pr, w.path),
 		})
 	}
 	return nil
-}
-
-// rtaResponses mirrors the validator's RT12 task construction and
-// returns the worst-case responses by component name; empty when the
-// analysis is inapplicable.
-func rtaResponses(arch *model.Architecture) map[string]time.Duration {
-	var tasks []analysis.Task
-	for _, c := range arch.ComponentsOfKind(model.Active) {
-		act := c.Activation()
-		if act.Kind != model.PeriodicActivation || act.Cost <= 0 {
-			continue
-		}
-		td, err := arch.EffectiveThreadDomain(c)
-		if err != nil {
-			continue
-		}
-		tasks = append(tasks, analysis.Task{
-			Name:     c.Name(),
-			Period:   act.Period,
-			Cost:     act.Cost,
-			Deadline: act.Deadline,
-			Priority: td.Domain().Priority,
-		})
-	}
-	if len(tasks) == 0 {
-		return nil
-	}
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Priority > tasks[j].Priority })
-	rs, err := analysis.ResponseTimeAnalysis(tasks)
-	if err != nil {
-		return nil
-	}
-	out := make(map[string]time.Duration, len(rs))
-	for _, r := range rs {
-		out[r.Task] = r.WorstCase
-	}
-	return out
-}
-
-// hopLatency prices one binding hop: link penalty + queue residence +
-// the server's response.
-func hopLatency(facts *ArchFacts, responses map[string]time.Duration, b *model.Binding) time.Duration {
-	var d time.Duration
-	if crossNode(facts, b) {
-		d += facts.LinkPenalty
-	}
-	d += queueResidence(facts, b)
-	d += serveTime(facts, responses, b.Server.Component)
-	return d
-}
-
-func crossNode(facts *ArchFacts, b *model.Binding) bool {
-	cn, sn := facts.Assign[b.Client.Component], facts.Assign[b.Server.Component]
-	return cn != "" && sn != "" && cn != sn
-}
-
-// queueResidence is the worst-case wait in an asynchronous hop's
-// buffer: a full buffer of BufferSize releases, drained one per
-// server activation interval.
-func queueResidence(facts *ArchFacts, b *model.Binding) time.Duration {
-	if b.Protocol != model.Asynchronous || b.BufferSize <= 0 {
-		return 0
-	}
-	srv, ok := facts.Arch.Component(b.Server.Component)
-	if !ok {
-		return 0
-	}
-	act := srv.Activation()
-	if act == nil || act.Period <= 0 {
-		return 0 // sporadic with no minimum interarrival: drains on arrival
-	}
-	return time.Duration(b.BufferSize) * act.Period
-}
-
-// serveTime is the server's worst-case response: the RTA result when
-// the server is in the task set, the declared cost otherwise.
-func serveTime(facts *ArchFacts, responses map[string]time.Duration, server string) time.Duration {
-	if r, ok := responses[server]; ok {
-		return r
-	}
-	if c, ok := facts.Arch.Component(server); ok {
-		if act := c.Activation(); act != nil {
-			return act.Cost
-		}
-	}
-	return 0
 }
 
 func pathString(path []*model.Binding) string {
@@ -280,116 +188,82 @@ func pathString(path []*model.Binding) string {
 	return sb.String()
 }
 
+// hopTerms itemizes one hop's price: link penalty, queue residence
+// and serve time, as the pricing core computes them.
+func hopTerms(pr *validate.Pricing, b *model.Binding) string {
+	var terms []string
+	if l := pr.Link(b); l > 0 {
+		terms = append(terms, fmt.Sprintf("link %v", l))
+	}
+	if q := pr.Residence(b); q > 0 {
+		terms = append(terms, fmt.Sprintf("queue %v", q))
+	}
+	if s, _ := pr.Serve(b.Server.Component); s > 0 {
+		terms = append(terms, fmt.Sprintf("serve %v", s))
+	}
+	if len(terms) == 0 {
+		return "0"
+	}
+	return strings.Join(terms, " + ")
+}
+
 // hopBreakdown itemizes the path sum so the finding shows its math.
-func hopBreakdown(facts *ArchFacts, responses map[string]time.Duration, path []*model.Binding) string {
-	var parts []string
-	for _, b := range path {
-		var terms []string
-		if crossNode(facts, b) {
-			terms = append(terms, fmt.Sprintf("link %v", facts.LinkPenalty))
-		}
-		if q := queueResidence(facts, b); q > 0 {
-			terms = append(terms, fmt.Sprintf("queue %d×%v", b.BufferSize, q/time.Duration(b.BufferSize)))
-		}
-		if s := serveTime(facts, responses, b.Server.Component); s > 0 {
-			terms = append(terms, fmt.Sprintf("serve %v", s))
-		}
-		if len(terms) == 0 {
-			terms = append(terms, "0")
-		}
-		parts = append(parts, fmt.Sprintf("%s: %s", b.Server.Component, strings.Join(terms, " + ")))
+func hopBreakdown(pr *validate.Pricing, path []*model.Binding) string {
+	parts := make([]string, len(path))
+	for i, b := range path {
+		parts[i] = b.Server.Component + ": " + hopTerms(pr, b)
 	}
 	return strings.Join(parts, "; ")
 }
 
 // pathFlow renders the path as flow steps for SARIF codeFlows.
-func pathFlow(facts *ArchFacts, responses map[string]time.Duration, path []*model.Binding) []validate.FlowStep {
-	var flow []validate.FlowStep
-	for _, b := range path {
-		note := fmt.Sprintf("%s -> %s (%s", b.Client.Component, b.Server.Component, b.Protocol)
-		if crossNode(facts, b) {
-			note += fmt.Sprintf(", cross-node +%v", facts.LinkPenalty)
+func pathFlow(facts *ArchFacts, pr *validate.Pricing, path []*model.Binding) []validate.FlowStep {
+	flow := make([]validate.FlowStep, len(path))
+	for i, b := range path {
+		flow[i] = validate.FlowStep{
+			Note: fmt.Sprintf("%s -> %s (%s: %s)", b.Client.Component, b.Server.Component, b.Protocol, hopTerms(pr, b)),
+			Pos:  implAnchor(facts, b.Server.Component),
 		}
-		if q := queueResidence(facts, b); q > 0 {
-			note += fmt.Sprintf(", queue residence %v", q)
-		}
-		if s := serveTime(facts, responses, b.Server.Component); s > 0 {
-			note += fmt.Sprintf(", serve %v", s)
-		}
-		note += ")"
-		step := validate.FlowStep{Note: note}
-		if pos := implAnchor(facts, b.Server.Component); pos != "" {
-			step.Pos = pos
-		}
-		flow = append(flow, step)
 	}
 	return flow
 }
 
-// flowAnchor picks a code position for a path finding: the first
-// endpoint along the path with a registered implementation, else the
-// package anchor.
-func flowAnchor(facts *ArchFacts, path []*model.Binding) token.Pos {
-	for _, b := range path {
-		for _, name := range []string{b.Client.Component, b.Server.Component} {
-			for _, im := range facts.ImplsOf(name) {
-				if im.RegPos.IsValid() {
-					return im.RegPos
-				}
-			}
+// regPos is the registration position of the first implementation of
+// the named component's class, NoPos when none is registered.
+func regPos(facts *ArchFacts, component string) token.Pos {
+	for _, im := range facts.ImplsOf(component) {
+		if im.RegPos.IsValid() {
+			return im.RegPos
+		}
+	}
+	return token.NoPos
+}
+
+// anchorOf picks a code position for a finding: the registration of
+// the first named component with a registered implementation, else
+// the package anchor.
+func anchorOf(facts *ArchFacts, components ...string) token.Pos {
+	for _, name := range components {
+		if pos := regPos(facts, name); pos.IsValid() {
+			return pos
 		}
 	}
 	return facts.Anchor()
 }
 
-func implAnchor(facts *ArchFacts, component string) string {
-	for _, im := range facts.ImplsOf(component) {
-		if im.RegPos.IsValid() {
-			return facts.Fset.Position(im.RegPos).String()
-		}
+// flowAnchor anchors a path finding at the first endpoint along the
+// path with a registered implementation.
+func flowAnchor(facts *ArchFacts, path []*model.Binding) token.Pos {
+	var names []string
+	for _, b := range path {
+		names = append(names, b.Client.Component, b.Server.Component)
 	}
-	return ""
+	return anchorOf(facts, names...)
 }
 
-// linkPenaltyFromBench prices the cross-node hop from the measured
-// cluster-loopback round trip in BENCH_cluster.json (searched in dir
-// and its parents), halved to a one-way figure; the default stands in
-// when no benchmark has been recorded.
-func linkPenaltyFromBench(dir string) time.Duration {
-	if dir == "" {
-		dir = "."
+func implAnchor(facts *ArchFacts, component string) string {
+	if pos := regPos(facts, component); pos.IsValid() {
+		return facts.Fset.Position(pos).String()
 	}
-	for d := dir; ; {
-		b, err := os.ReadFile(filepath.Join(d, "BENCH_cluster.json"))
-		if err == nil {
-			// Current files use the shared bench envelope ({panel,
-			// commit, goos, rows}); files written before the schema
-			// was unified keyed the same rows as "scenarios".
-			type clusterRow struct {
-				Scenario  string `json:"scenario"`
-				RTTMedian int64  `json:"rttMedian"`
-			}
-			var doc struct {
-				Rows      []clusterRow `json:"rows"`
-				Scenarios []clusterRow `json:"scenarios"`
-			}
-			if json.Unmarshal(b, &doc) == nil {
-				rows := doc.Rows
-				if len(rows) == 0 {
-					rows = doc.Scenarios
-				}
-				for _, s := range rows {
-					if s.Scenario == "cluster-loopback" && s.RTTMedian > 0 {
-						return time.Duration(s.RTTMedian) / 2
-					}
-				}
-			}
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			break
-		}
-		d = parent
-	}
-	return defaultLinkPenalty
+	return ""
 }

@@ -2,9 +2,8 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"sort"
-	"time"
+	"strings"
 
 	"soleil/internal/model"
 	"soleil/internal/validate"
@@ -12,21 +11,22 @@ import (
 
 // QueueSizing (SA10) propagates admitted message rates through the
 // binding fan-in trees of the architecture and checks them against
-// downstream capacity — RT16's per-binding utilization math applied to
-// the composed system. Each binding carries a statically known
-// outflow: the contract's maxRate when one is declared, the client's
-// release rate (1/period for periodic clients, 1/minimum-interarrival
-// for sporadic ones) otherwise, or the rate propagated into the
-// client from its own inbound bindings. Two findings:
+// downstream capacity — RT16's per-binding capacity math applied to
+// the composed system. Every rate and capacity comes from the pricing
+// core (validate.Pricing): a binding admits the contract's maxRate,
+// else its periodic client's release rate, else the rate propagated
+// into the client from its own inbound bindings. Two findings:
 //
 //   - a server whose total inbound rate exceeds its processing
 //     capacity (1/cost per release) is overloaded by construction —
 //     each contract may fit individually while the fan-in sum does
 //     not;
-//   - an asynchronous buffer whose inflow exceeds the server's drain
-//     rate fills at a computable rate and overflows no matter its
-//     size — the buffer only reshapes bursts, it cannot absorb a
-//     sustained rate mismatch.
+//   - an asynchronous buffer smaller than what arrives between two
+//     releases of its server, ceil(interval × inflow) by the drain
+//     rule (each release drains the whole buffer), overflows. RT13
+//     judges the bindings an uncontracted periodic client feeds; this
+//     half covers the rates RT13 cannot see, contracted and
+//     propagated ones.
 var QueueSizing = &ArchAnalyzer{
 	Name: "queuesizing",
 	Rule: "SA10",
@@ -38,25 +38,9 @@ var QueueSizing = &ArchAnalyzer{
 
 func runQueueSizing(p *ArchPass) error {
 	facts := p.Facts
+	pr := facts.Pricing()
 	bindings := facts.Arch.Bindings()
-
-	// inbound rate per component, iterated to a fixpoint so rates
-	// propagate through relay components that have no activation rate
-	// of their own (bounded: rates only flow forward, cycles damp out
-	// at the iteration cap).
-	inbound := map[string]float64{}
-	for i := 0; i < len(bindings)+1; i++ {
-		next := map[string]float64{}
-		for _, b := range bindings {
-			if r := bindingRate(facts, inbound, b); r > 0 {
-				next[b.Server.Component] += r
-			}
-		}
-		if ratesEqual(inbound, next) {
-			break
-		}
-		inbound = next
-	}
+	inbound := pr.Inbound()
 
 	// Fan-in sum vs server capacity.
 	servers := make([]string, 0, len(inbound))
@@ -65,127 +49,62 @@ func runQueueSizing(p *ArchPass) error {
 	}
 	sort.Strings(servers)
 	for _, name := range servers {
-		srv, ok := facts.Arch.Component(name)
-		if !ok {
-			continue
-		}
-		act := srv.Activation()
-		if act == nil || act.Cost <= 0 {
-			continue // unknown cost: no static capacity to compare against
-		}
-		capacity := float64(time.Second) / float64(act.Cost)
+		srv, _ := facts.Arch.Component(name) // a binding's server: Bind checked it exists
+		capacity := validate.Capacity(srv)
 		rate := inbound[name]
-		if rate <= capacity {
-			continue
+		if capacity <= 0 || rate <= capacity {
+			continue // unknown cost: no static capacity to compare against
 		}
 		var feeds []string
 		var flow []validate.FlowStep
 		for _, b := range bindings {
-			if b.Server.Component != name {
-				continue
+			if r := pr.Rate(b); b.Server.Component == name && r > 0 {
+				feeds = append(feeds, fmt.Sprintf("%s %.4g/s", b.String(), r))
+				flow = append(flow, validate.FlowStep{
+					Note: fmt.Sprintf("%s admits %.4g/s into %s", b.String(), r, name),
+					Pos:  implAnchor(facts, b.Client.Component),
+				})
 			}
-			r := bindingRate(facts, inbound, b)
-			if r <= 0 {
-				continue
-			}
-			feeds = append(feeds, fmt.Sprintf("%s %.4g/s", b.String(), r))
-			step := validate.FlowStep{Note: fmt.Sprintf("%s admits %.4g/s into %s", b.String(), r, name)}
-			if pos := implAnchor(facts, b.Client.Component); pos != "" {
-				step.Pos = pos
-			}
-			flow = append(flow, step)
 		}
+		sort.Strings(feeds)
 		p.Report(Finding{
-			Pos:      queueAnchor(facts, name),
+			Pos:      anchorOf(facts, name),
 			Severity: validate.Error,
 			Subject:  name,
 			Message: fmt.Sprintf("admitted inbound rate %.4g/s exceeds %s's processing capacity %.4g/s "+
 				"(cost %v per release, utilization %.0f%%): the fan-in %s overloads the server even though "+
 				"each binding may honour its own contract",
-				rate, name, capacity, act.Cost, 100*rate/capacity, sortedJoin(feeds)),
+				rate, name, capacity, srv.Activation().Cost, 100*rate/capacity, strings.Join(feeds, " + ")),
 			Suggestion: "lower the contracted rates, shed or degrade at the gates, or reduce the server's cost per release",
 			Flow:       flow,
 		})
 	}
 
-	// Async buffer inflow vs drain rate.
+	// Async buffer vs what arrives between two draining releases.
 	for _, b := range bindings {
-		if b.Protocol != model.Asynchronous || b.BufferSize <= 0 {
+		if b.Protocol != model.Asynchronous {
 			continue
 		}
-		srv, ok := facts.Arch.Component(b.Server.Component)
-		if !ok {
-			continue
+		cli, _ := facts.Arch.Component(b.Client.Component)
+		srv, _ := facts.Arch.Component(b.Server.Component)
+		if (b.Contract == nil || b.Contract.MaxRate <= 0) && validate.ReleaseRate(cli) > 0 {
+			continue // an uncontracted periodic client: RT13's finding
 		}
-		act := srv.Activation()
-		if act == nil || act.Period <= 0 {
-			continue // drains on arrival: no static drain bound
-		}
-		drain := float64(time.Second) / float64(act.Period)
-		inflow := bindingRate(facts, inbound, b)
-		if inflow <= drain {
-			continue
+		interval := validate.Interval(srv)
+		inflow := pr.Rate(b)
+		need := validate.Slots(interval, inflow)
+		if need <= b.BufferSize {
+			continue // also when the server drains on arrival (interval 0)
 		}
 		p.Report(Finding{
-			Pos:      queueAnchor(facts, b.Server.Component),
+			Pos:      anchorOf(facts, b.Server.Component),
 			Severity: validate.Error,
 			Subject:  b.String(),
-			Message: fmt.Sprintf("inflow %.4g/s exceeds the server's drain rate %.4g/s (one release per %v): "+
-				"the %d-slot buffer fills at %.4g msg/s and overflows regardless of its size",
-				inflow, drain, act.Period, b.BufferSize, inflow-drain),
-			Suggestion: "lower the admitted rate below the drain rate, or shorten the server's activation interval; " +
-				"resizing the buffer only delays the overflow",
+			Message: fmt.Sprintf("inflow %.4g/s queues up to %d messages between two releases of %s %v apart "+
+				"(each release drains the buffer), so the %d-slot buffer overflows",
+				inflow, need, b.Server.Component, interval, b.BufferSize),
+			Suggestion: fmt.Sprintf("raise bufferSize to at least %d, lower the admitted rate, or shorten the server's activation interval", need),
 		})
 	}
 	return nil
-}
-
-// bindingRate is the statically known worst-case outflow of one
-// binding: the contracted maxRate, the client's release rate, or the
-// rate propagated into the client.
-func bindingRate(facts *ArchFacts, inbound map[string]float64, b *model.Binding) float64 {
-	if b.Contract != nil && b.Contract.MaxRate > 0 {
-		return b.Contract.MaxRate
-	}
-	cli, ok := facts.Arch.Component(b.Client.Component)
-	if !ok {
-		return 0
-	}
-	if act := cli.Activation(); act != nil && act.Period > 0 {
-		return float64(time.Second) / float64(act.Period)
-	}
-	return inbound[b.Client.Component]
-}
-
-func ratesEqual(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedJoin(parts []string) string {
-	sort.Strings(parts)
-	out := ""
-	for i, s := range parts {
-		if i > 0 {
-			out += " + "
-		}
-		out += s
-	}
-	return out
-}
-
-func queueAnchor(facts *ArchFacts, component string) token.Pos {
-	for _, im := range facts.ImplsOf(component) {
-		if im.RegPos.IsValid() {
-			return im.RegPos
-		}
-	}
-	return facts.Anchor()
 }

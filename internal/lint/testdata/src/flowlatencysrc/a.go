@@ -1,8 +1,8 @@
 // Corpus for the flowlatency (SA09) pass; the matching architecture
 // lives in arch.xml next to this file. The code is conformant — the
-// violation is architectural: eight queued messages ahead of a
-// 10ms-period server cost 80ms before the serve even starts, against a
-// 2ms contracted budget.
+// violation is architectural: a message queued for a 10ms-period
+// server waits up to 10ms for the release that drains it, before the
+// serve even starts, against a 2ms contracted budget.
 package flowlatencysrc
 
 type services struct{}

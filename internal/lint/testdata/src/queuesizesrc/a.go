@@ -1,8 +1,8 @@
 // Corpus for the queuesizing (SA10) pass; the matching architecture
 // lives in arch.xml next to this file. The code is conformant — the
 // violations are architectural: Mill's two contracts admit more than
-// its cost can process, and Press's buffer refills faster than one
-// drain per period.
+// its cost can process, and Press's buffer is smaller than what
+// arrives between two of its draining releases.
 package queuesizesrc
 
 type services struct{}
@@ -50,5 +50,5 @@ func Wire(r *Registry) error {
 	if err := r.Register("mill", func() Content { return &mill{} }); err != nil { // want `SA10 .*admitted inbound rate 300/s exceeds Mill's processing capacity 250/s`
 		return err
 	}
-	return r.Register("press", func() Content { return &press{} }) // want `SA10 .*inflow 80/s exceeds the server's drain rate 50/s`
+	return r.Register("press", func() Content { return &press{} }) // want `SA10 .*inflow 80/s queues up to 2 messages between two releases of Press 20ms apart`
 }

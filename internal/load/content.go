@@ -21,7 +21,8 @@ import (
 // before injection — lands in the histogram.
 type Collector struct {
 	// warmupEnd gates recording: stamps intended before it are
-	// settling traffic and contribute no sample.
+	// settling traffic and count in no ledger column (completed,
+	// dropped or coalesced), as they are not in Injected either.
 	warmupEnd atomic.Int64
 	// bound, when >0, is the deadline: completions above it count as
 	// misses.
@@ -43,9 +44,13 @@ func NewCollector(deadline time.Duration) *Collector {
 // SetWarmupEnd sets the instant before which completions are ignored.
 func (c *Collector) SetWarmupEnd(t time.Time) { c.warmupEnd.Store(t.UnixNano()) }
 
+// measured reports whether the stamp's intended arrival falls in the
+// measured window.
+func (c *Collector) measured(intended int64) bool { return intended >= c.warmupEnd.Load() }
+
 // Complete records one end-to-end completion of the stamp.
 func (c *Collector) Complete(intended int64) {
-	if intended < c.warmupEnd.Load() {
+	if !c.measured(intended) {
 		return
 	}
 	start := time.Unix(0, intended)
@@ -65,12 +70,12 @@ func (c *Collector) Completed() int64 { return c.completed.Load() }
 // Missed returns how many completions exceeded the deadline bound.
 func (c *Collector) Missed() int64 { return c.missed.Load() }
 
-// Dropped returns how many forwards died to backpressure (admission
-// gates shedding or bounded buffers refusing).
+// Dropped returns how many forwards of measured stamps died to
+// backpressure (admission gates shedding or bounded buffers refusing).
 func (c *Collector) Dropped() int64 { return c.dropped.Load() }
 
-// Coalesced returns how many stamps a reactive component absorbed
-// because its derived value did not change.
+// Coalesced returns how many measured stamps a reactive component
+// absorbed because its derived value did not change.
 func (c *Collector) Coalesced() int64 { return c.coalesced.Load() }
 
 // forward sends the stamp out of one port, absorbing backpressure
@@ -83,7 +88,9 @@ func forward(col *Collector, svc *membrane.Services, env *thread.Env, port strin
 	}
 	if err := out.Send(env, "put", stamp); err != nil {
 		if errors.Is(err, qos.ErrBackpressure) {
-			col.dropped.Inc()
+			if col.measured(stamp) {
+				col.dropped.Inc()
+			}
 			return nil
 		}
 		return err
@@ -142,11 +149,11 @@ var smStates = []smState{
 
 // smNext is the transition table: smNext[state][event], -1 = bubble.
 var smNext = [5][4]int{
-	{3, -1, -1, -1},  // Idle
-	{-1, 4, 2, -1},   // Busy
-	{-1, -1, -1, 0},  // Err
-	{4, -1, -1, -1},  // Busy.Recv
-	{3, -1, -1, 0},   // Busy.Proc
+	{3, -1, -1, -1}, // Idle
+	{-1, 4, 2, -1},  // Busy
+	{-1, -1, -1, 0}, // Err
+	{4, -1, -1, -1}, // Busy.Recv
+	{3, -1, -1, 0},  // Busy.Proc
 }
 
 func (s *smContent) Init(svc *membrane.Services) error { s.svc = svc; return nil }
@@ -194,7 +201,9 @@ func (r *reactiveContent) Invoke(env *thread.Env, itf, op string, arg any) (any,
 	}
 	n := r.n.Add(1)
 	if n&1 == 0 { // derived value unchanged: coalesce
-		r.col.coalesced.Inc()
+		if r.col.measured(stamp) {
+			r.col.coalesced.Inc()
+		}
 		return nil, nil
 	}
 	port := "out0"

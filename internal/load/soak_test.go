@@ -82,6 +82,12 @@ func TestSoakLoadScenarios(t *testing.T) {
 			if res.InjectErrors > 0 {
 				t.Errorf("dataplane refused %d injections", res.InjectErrors)
 			}
+			// Every ledger column counts the measured window only, so
+			// the outcomes cannot outnumber the measured injections.
+			if sum := res.Completed + res.Dropped + res.Coalesced; sum > res.Injected {
+				t.Errorf("ledger overcounts: completed %d + dropped %d + coalesced %d = %d > injected %d",
+					res.Completed, res.Dropped, res.Coalesced, sum, res.Injected)
+			}
 			if res.P999 == 0 {
 				t.Error("no latency distribution recorded")
 			}

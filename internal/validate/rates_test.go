@@ -60,11 +60,19 @@ func warningsFor(r Report, rule string) int {
 }
 
 func TestRT13SporadicMITSlowerThanProducer(t *testing.T) {
+	// Each release drains the whole buffer, and releases come at most
+	// one per 12ms MIT: a 5ms producer queues up to ceil(12/5) = 3
+	// messages between them. A 2-slot buffer warns, 3 slots do not.
 	a := rateFixture(t, 5*ms,
-		model.Activation{Kind: model.SporadicActivation, Period: 12 * ms}, 10)
+		model.Activation{Kind: model.SporadicActivation, Period: 12 * ms}, 2)
 	r := Validate(a)
 	if warningsFor(r, "RT13") != 1 {
 		t.Fatalf("RT13 warnings = %d: %v", warningsFor(r, "RT13"), r.Diagnostics)
+	}
+	enough := rateFixture(t, 5*ms,
+		model.Activation{Kind: model.SporadicActivation, Period: 12 * ms}, 3)
+	if warningsFor(Validate(enough), "RT13") != 0 {
+		t.Fatalf("spurious RT13 for a sufficient buffer: %v", Validate(enough).ByRule("RT13"))
 	}
 	// A compatible MIT raises nothing.
 	a2 := rateFixture(t, 12*ms,

@@ -7,12 +7,9 @@ package validate
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"soleil/internal/model"
 	"soleil/internal/patterns"
-	"soleil/internal/rtsj/analysis"
 	"soleil/internal/rtsj/sched"
 )
 
@@ -137,7 +134,7 @@ var Rules = map[string]string{
 	"RT10": "asynchronous bindings terminate at sporadic active components",
 	"RT11": "functional primitives declare a content class (needed for infrastructure generation)",
 	"RT12": "periodic components with cost budgets pass response-time analysis within their ThreadDomain priorities",
-	"RT13": "asynchronous binding rates are compatible with their buffer capacities (periodic producers vs server release rate)",
+	"RT13": "asynchronous buffers hold what a periodic producer sends between two releases of the server (each release drains the buffer)",
 	"RT14": "a ThreadDomain or MemoryArea must not span deployment nodes (its members resolve to one node)",
 	"RT15": "bindings crossing deployment nodes are asynchronous value messages; NHRT components in particular may not call synchronously off-node",
 	"RT16": "binding contracts are feasible: latency budgets cover the server's worst-case response, contracted rates fit the server's processing capacity, and bursts fit the buffer",
@@ -146,7 +143,7 @@ var Rules = map[string]string{
 
 // Validate checks the architecture against the full rule catalog.
 func Validate(a *model.Architecture) Report {
-	v := &validator{arch: a}
+	v := &validator{arch: a, price: NewPricing(a, nil, 0)}
 	v.checkThreadDomains()
 	v.checkMemoryAreas()
 	v.checkFunctional()
@@ -159,10 +156,9 @@ func Validate(a *model.Architecture) Report {
 type validator struct {
 	arch  *model.Architecture
 	diags []Diagnostic
-	// responses holds the response-time analysis results by component
-	// name, captured by checkSchedulability for the contract
-	// feasibility checks (RT16).
-	responses map[string]analysis.Response
+	// price is the timing model RT12, RT13 and RT16 word their
+	// findings from.
+	price *Pricing
 }
 
 func (v *validator) add(rule string, sev Severity, subject, msg, suggestion string) {
@@ -336,77 +332,38 @@ func (v *validator) checkBindings() {
 	}
 }
 
-// checkRates applies RT13: a bounded buffer must absorb the worst-case
-// arrival backlog implied by the endpoints' release parameters.
+// checkRates applies RT13: a bounded buffer must hold what a
+// periodic producer sends between two releases of the server, each of
+// which drains the whole buffer.
 func (v *validator) checkRates(b *model.Binding, cli, srv *model.Component, subject string) {
-	cliAct, srvAct := cli.Activation(), srv.Activation()
-	if cliAct == nil || cliAct.Kind != model.PeriodicActivation || cliAct.Period <= 0 {
+	rate := ReleaseRate(cli)
+	interval := Interval(srv)
+	if rate <= 0 || interval <= 0 {
 		return // only periodic producers have a statically known rate
 	}
-	if srvAct == nil {
+	need := Slots(interval, rate)
+	if need <= b.BufferSize {
 		return
 	}
-	switch srvAct.Kind {
-	case model.SporadicActivation:
-		// A sporadic server's minimum interarrival time (its Period
-		// field) defers releases: a producer faster than the MIT grows
-		// the backlog without bound.
-		if mit := srvAct.Period; mit > cliAct.Period {
-			v.add("RT13", Warning, subject,
-				fmt.Sprintf("producer period %v is shorter than the server's minimum interarrival time %v; the backlog grows without bound",
-					cliAct.Period, mit),
-				"lengthen the producer period, shorten the interarrival time, or accept message loss")
-		}
-	case model.PeriodicActivation:
-		// A periodic server drains at its own period boundaries: the
-		// buffer must hold one server period's worth of arrivals.
-		if srvAct.Period <= 0 {
-			return
-		}
-		backlog := int((srvAct.Period + cliAct.Period - 1) / cliAct.Period)
-		if backlog > b.BufferSize {
-			v.add("RT13", Warning, subject,
-				fmt.Sprintf("up to %d messages arrive per server period %v but the buffer holds %d",
-					backlog, srvAct.Period, b.BufferSize),
-				fmt.Sprintf("raise bufferSize to at least %d", backlog))
-		}
+	msg := fmt.Sprintf("up to %d messages arrive per server period %v but the buffer holds %d",
+		need, interval, b.BufferSize)
+	if srv.Activation().Kind == model.SporadicActivation {
+		msg = fmt.Sprintf("up to %d messages arrive per minimum interarrival time %v of the server but the buffer holds %d; the excess backlog is refused",
+			need, interval, b.BufferSize)
 	}
+	v.add("RT13", Warning, subject, msg, fmt.Sprintf("raise bufferSize to at least %d", need))
 }
 
 // --- schedulability -----------------------------------------------------------
 
 func (v *validator) checkSchedulability() {
-	var tasks []analysis.Task
-	for _, c := range v.arch.ComponentsOfKind(model.Active) {
-		act := c.Activation()
-		if act.Kind != model.PeriodicActivation || act.Cost <= 0 {
-			continue
-		}
-		td, err := v.arch.EffectiveThreadDomain(c)
-		if err != nil {
-			continue
-		}
-		tasks = append(tasks, analysis.Task{
-			Name:     c.Name(),
-			Period:   act.Period,
-			Cost:     act.Cost,
-			Deadline: act.Deadline,
-			Priority: td.Domain().Priority,
-		})
-	}
-	if len(tasks) == 0 {
-		return
-	}
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Priority > tasks[j].Priority })
-	rs, err := analysis.ResponseTimeAnalysis(tasks)
-	if err != nil {
+	p := v.price
+	if p.RTAErr != nil {
 		v.add("RT12", Warning, v.arch.Name(),
-			fmt.Sprintf("response-time analysis not applicable: %v", err), "")
+			fmt.Sprintf("response-time analysis not applicable: %v", p.RTAErr), "")
 		return
 	}
-	v.responses = make(map[string]analysis.Response, len(rs))
-	for _, r := range rs {
-		v.responses[r.Task] = r
+	for _, r := range p.Responses {
 		if !r.Schedulable {
 			v.add("RT12", Error, r.Task,
 				fmt.Sprintf("worst-case response %v exceeds deadline %v", r.WorstCase, r.Deadline),
@@ -449,14 +406,11 @@ func (v *validator) checkContracts() {
 		// RT16: the contracted rate must fit the server's processing
 		// capacity, or the admitted traffic itself overloads it.
 		if srv != nil && c.MaxRate > 0 {
-			if act := srv.Activation(); act != nil && act.Cost > 0 {
-				capacity := float64(time.Second) / float64(act.Cost)
-				if c.MaxRate > capacity {
-					v.add("RT16", Error, subject,
-						fmt.Sprintf("contracted rate %g/s exceeds the server's processing capacity %.4g/s (cost %v per release)",
-							c.MaxRate, capacity, act.Cost),
-						"lower maxRate, or reduce the server's cost")
-				}
+			if capacity := Capacity(srv); capacity > 0 && c.MaxRate > capacity {
+				v.add("RT16", Error, subject,
+					fmt.Sprintf("contracted rate %g/s exceeds the server's processing capacity %.4g/s (cost %v per release)",
+						c.MaxRate, capacity, srv.Activation().Cost),
+					"lower maxRate, or reduce the server's cost")
 			}
 		}
 
@@ -464,21 +418,21 @@ func (v *validator) checkContracts() {
 		// deliver — the worst-case response where analysis ran, the
 		// bare cost otherwise.
 		if c.LatencyBudget > 0 && srv != nil {
-			if r, ok := v.responses[srv.Name()]; ok {
-				if r.WorstCase > c.LatencyBudget {
-					v.add("RT16", Error, subject,
-						fmt.Sprintf("latency budget %v is below the server's worst-case response %v; the SLO is unmeetable by construction",
-							c.LatencyBudget, r.WorstCase),
-						"raise the budget above the worst-case response, or raise the server's priority")
-				} else {
-					v.add("RT16", Info, subject,
-						fmt.Sprintf("latency budget %v covers the server's worst-case response %v",
-							c.LatencyBudget, r.WorstCase), "")
-				}
-			} else if act := srv.Activation(); act != nil && act.Cost > c.LatencyBudget {
+			serve, analyzed := v.price.Serve(srv.Name())
+			switch {
+			case analyzed && serve > c.LatencyBudget:
+				v.add("RT16", Error, subject,
+					fmt.Sprintf("latency budget %v is below the server's worst-case response %v; the SLO is unmeetable by construction",
+						c.LatencyBudget, serve),
+					"raise the budget above the worst-case response, or raise the server's priority")
+			case analyzed:
+				v.add("RT16", Info, subject,
+					fmt.Sprintf("latency budget %v covers the server's worst-case response %v",
+						c.LatencyBudget, serve), "")
+			case serve > c.LatencyBudget:
 				v.add("RT16", Error, subject,
 					fmt.Sprintf("latency budget %v is below the server's cost %v per release",
-						c.LatencyBudget, act.Cost),
+						c.LatencyBudget, serve),
 					"raise the budget above the server's cost")
 			}
 		}
