@@ -1,6 +1,6 @@
 # Tier-1+ verification gate. `make check` is what CI and reviewers
-# run: vet, build, the full test suite under the race detector, and
-# the fault-tolerance soak scenario. `make lint` and `make benchcheck`
+# run: the gofmt gate, vet, build, the full test suite under the race
+# detector, and the soak scenarios. `make lint` and `make benchcheck`
 # are the static and empirical halves of the same no-allocation,
 # no-blocking claim on the hot paths.
 
@@ -10,11 +10,16 @@ GO ?= go
 # dispatch or real-time hot path.
 LINT_PKGS = ./internal/membrane/... ./internal/obs/... ./internal/comm/... ./internal/rtsj/... ./internal/qos/...
 
-.PHONY: all check vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench bench-obs bench-scenarios clean
+.PHONY: all check fmt vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench bench-obs bench-scenarios clean
 
 all: check
 
-check: vet build race soak soak-cluster soak-overload soak-load
+check: fmt vet build race soak soak-cluster soak-overload soak-load
+
+# Every Go file is gofmt-clean, the lint corpora under testdata
+# included (reformatting them moves no `// want` line).
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -53,14 +53,21 @@ func TestDrainRuleMatchesRuntime(t *testing.T) {
 	}
 }
 
-// TestPeriodicServerSendsNoErrors feeds a periodic server from a
-// periodic producer on both clocks. Arrivals release only sporadic
-// receivers, so the producer's sends succeed and the server drains
-// every message at its period boundaries.
+// TestPeriodicServerSendsNoErrors feeds a periodic, a sporadic and an
+// aperiodic server from a periodic producer, on both clocks. Each kind
+// must drain every message, in order, without a recorded error: a
+// periodic server at its period boundaries (arrivals release every
+// other kind, and the producer's sends succeed), a sporadic one per
+// arrival held to its minimum interarrival time, an aperiodic one per
+// arrival.
 func TestPeriodicServerSendsNoErrors(t *testing.T) {
 	const n = 20
 	src := model.Activation{Kind: model.PeriodicActivation, Period: 5 * time.Millisecond}
-	srv := model.Activation{Kind: model.PeriodicActivation, Period: 10 * time.Millisecond}
+	servers := []model.Activation{
+		{Kind: model.PeriodicActivation, Period: 10 * time.Millisecond},
+		{Kind: model.SporadicActivation, Period: 10 * time.Millisecond},
+		{Kind: model.AperiodicActivation},
+	}
 	check := func(t *testing.T, sys *System, snk *seqSink) {
 		t.Helper()
 		if errs := sys.Errors(); len(errs) > 0 {
@@ -78,29 +85,37 @@ func TestPeriodicServerSendsNoErrors(t *testing.T) {
 	}
 
 	t.Run("virtual", func(t *testing.T) {
-		snk := &seqSink{}
-		sys := relaySystem(t, src, srv, &burstSource{n: n}, snk, 16)
-		if err := sys.RunFor(50 * src.Period); err != nil {
-			t.Fatal(err)
+		for _, srv := range servers {
+			t.Run(srv.Kind.String(), func(t *testing.T) {
+				snk := &seqSink{}
+				sys := relaySystem(t, src, srv, &burstSource{n: n}, snk, 16)
+				if err := sys.RunFor(50 * src.Period); err != nil {
+					t.Fatal(err)
+				}
+				check(t, sys, snk)
+			})
 		}
-		check(t, sys, snk)
 	})
 
 	t.Run("wall", func(t *testing.T) {
-		snk := &seqSink{}
-		sys := relaySystem(t, src, srv, &burstSource{n: n}, snk, 16)
-		p, err := NewPacer(sys, PacerOptions{})
-		if err != nil {
-			t.Fatal(err)
+		for _, srv := range servers {
+			t.Run(srv.Kind.String(), func(t *testing.T) {
+				snk := &seqSink{}
+				sys := relaySystem(t, src, srv, &burstSource{n: n}, snk, 16)
+				p, err := NewPacer(sys, PacerOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Run(); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for len(snk.received()) < n && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				p.Close()
+				check(t, sys, snk)
+			})
 		}
-		if err := p.Run(); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for len(snk.received()) < n && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		p.Close()
-		check(t, sys, snk)
 	})
 }

@@ -36,8 +36,8 @@ type Node interface {
 }
 
 // taskHolder defers the task wiring of notify ports until threads are
-// spawned (only a sporadic receiver's task is wired), and holds the
-// wake channel a wall-clock pacer publishes.
+// spawned (every receiver's task but a periodic one's is wired), and
+// holds the wake channel a wall-clock pacer publishes.
 type taskHolder struct {
 	task *sched.Task
 	wake atomic.Pointer[chan struct{}]
@@ -45,7 +45,7 @@ type taskHolder struct {
 
 // notifyPort wraps an async stub so that each Send also releases the
 // receiving component: under the simulated scheduler by firing its
-// sporadic task, under a wall-clock pacer by posting a wake token.
+// task, under a wall-clock pacer by posting a wake token.
 type notifyPort struct {
 	inner  membrane.Port
 	target *taskHolder

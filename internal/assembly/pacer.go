@@ -3,29 +3,26 @@ package assembly
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"soleil/internal/model"
-	"soleil/internal/rtsj/thread"
 )
 
 // Pacer drives a deployed system's active components in *wall-clock*
 // time. The simulated scheduler (RunFor) owns virtual time and is
 // single-use — the right tool for analysis, the wrong one for a node
 // agent that must serve a partition indefinitely while peers dial in.
-// The pacer is the serving-mode counterpart: one goroutine per active
-// component re-creates the generated activation loop against the real
-// clock (periodic components at their declared period, sporadic and
-// aperiodic ones on message arrival), with thread-body errors absorbed
-// resiliently so a failing component degrades under supervision
+// The pacer is the serving-mode counterpart: it runs each active
+// component's thread body, the activation loop RunFor runs, on a
+// driver goroutine, in the environment the component's thread gets
+// (rooted in its memory area, or around its scope, which each release
+// enters; no-heap for an NHRT). The pacer supplies only the
+// wall-clock wait for the next release, and runs every loop
+// resiliently, so a failing component degrades under supervision
 // instead of taking its driver down.
 type Pacer struct {
-	sys *System
-
-	activations atomic.Int64
-	deliveries  atomic.Int64
-	errors      atomic.Int64
+	sys   *System
+	stats loopStats
 
 	mu      sync.Mutex
 	started bool
@@ -65,73 +62,68 @@ func (p *Pacer) Run() error {
 	}
 	p.stop = make(chan struct{})
 	for _, c := range p.sys.Architecture().ComponentsOfKind(model.Active) {
-		node, ok := p.sys.Node(c.Name())
-		if !ok {
-			continue
-		}
-		act := *c.Activation()
-		noHeap := false
-		if td, err := p.sys.Architecture().EffectiveThreadDomain(c); err == nil {
-			noHeap = td.Domain().Kind == model.NoHeapRealtimeThread
-		}
-		env, closeEnv, err := p.sys.NewEnv(noHeap)
+		env, closeEnv, err := p.sys.threads[c.Name()].NewEnv(nil)
 		if err != nil {
-			close(p.stop)
-			p.wg.Wait()
+			p.halt()
 			return fmt.Errorf("assembly: pacer env for %q: %w", c.Name(), err)
 		}
-		var wake chan struct{}
-		if act.Kind != model.PeriodicActivation {
-			// The initial token releases the component once, draining
-			// whatever was queued before the channel was published.
-			wake = make(chan struct{}, 1)
-			wake <- struct{}{}
-			p.sys.holders[c.Name()].wake.Store(&wake)
-		}
+		wait := p.waiter(c)
 		p.wg.Add(1)
-		go p.drive(node, act, wake, env, closeEnv)
+		go func() {
+			defer p.wg.Done()
+			defer closeEnv()
+			p.sys.threadBody(env, c, true, &p.stats, wait)
+		}()
 	}
 	p.started = true
 	return nil
 }
 
-func (p *Pacer) drive(node Node, act model.Activation, wake chan struct{}, env *thread.Env, closeEnv func()) {
-	defer p.wg.Done()
-	defer closeEnv()
-
-	var mit time.Duration
-	switch act.Kind {
-	case model.PeriodicActivation:
+// waiter builds one driver's wall-clock wait for the next release: a
+// periodic component's period ticker (its loop ran the first release
+// at start, as the scheduler's at t=0), else a wake token posted by
+// every send to it. A sporadic release is held until the MIT has
+// passed since the last release that delivered or failed a message,
+// the rule of the scheduler's fireArrival, where only arrivals release
+// the task. A drain that stopped at an error releases again. The wait
+// returns false once the pacer stops.
+func (p *Pacer) waiter(c *model.Component) func(delivered int, drained bool) bool {
+	act := c.Activation()
+	if act.Kind == model.PeriodicActivation {
 		ticker := time.NewTicker(act.Period)
-		defer ticker.Stop()
-		for {
+		return func(int, bool) bool {
 			select {
 			case <-p.stop:
-				return
+				ticker.Stop()
+				return false
 			case <-ticker.C:
-				p.deliver(node, env)
-				p.activate(node, env)
+				return true
 			}
 		}
-	case model.SporadicActivation:
-		mit = act.Period
-	default:
-		// One release of its own logic, as the generated loop does.
-		p.activate(node, env)
 	}
-
-	// Arrival-driven releases, each held until the minimum
-	// interarrival time since the previous one has passed (the rule
-	// of the scheduler's fireArrival).
+	wake := make(chan struct{}, 1)
+	p.sys.holders[c.Name()].wake.Store(&wake)
+	var mit time.Duration
+	if act.Kind == model.SporadicActivation {
+		mit = act.Period
+	}
 	hold := time.NewTimer(time.Hour)
 	hold.Stop()
-	defer hold.Stop()
+	// rel is when the current release began, last when the previous
+	// one that delivered or failed a message began.
 	var last time.Time
-	for {
+	rel := time.Now()
+	return func(delivered int, drained bool) bool {
+		if delivered > 0 || !drained {
+			last = rel
+		}
+		if !drained {
+			post(wake)
+		}
 		<-wake
 		select {
 		case <-p.stop:
-			return
+			return false
 		default:
 		}
 		if mit > 0 {
@@ -139,59 +131,24 @@ func (p *Pacer) drive(node Node, act model.Activation, wake chan struct{}, env *
 				hold.Reset(wait)
 				select {
 				case <-p.stop:
-					return
+					return false
 				case <-hold.C:
 				}
 			}
-			last = time.Now()
+			rel = time.Now()
 		}
-		if !p.deliver(node, env) {
-			// The drain stopped at an error, maybe with messages
-			// still queued: release again for them.
-			post(wake)
-		}
+		return true
 	}
-}
-
-// deliver drains the component's inbound async buffers and reports
-// whether the drain ran to completion.
-func (p *Pacer) deliver(node Node, env *thread.Env) bool {
-	return p.run(node, func() error {
-		n, err := node.Deliver(env)
-		p.deliveries.Add(int64(n))
-		return err
-	})
-}
-
-// activate runs one release of the component's own logic.
-func (p *Pacer) activate(node Node, env *thread.Env) {
-	p.run(node, func() error {
-		if err := node.Activate(env); err != nil {
-			return err
-		}
-		p.activations.Add(1)
-		return nil
-	})
-}
-
-// run performs one driver operation under the resilient discipline
-// supervised nodes run under, and reports whether it succeeded.
-func (p *Pacer) run(node Node, fn func() error) bool {
-	if p.sys.absorb(node.Name(), true, fn) != nil {
-		p.errors.Add(1)
-		return false
-	}
-	return true
 }
 
 // Activations returns how many component releases have run.
-func (p *Pacer) Activations() int64 { return p.activations.Load() }
+func (p *Pacer) Activations() int64 { return p.stats.activations.Load() }
 
 // Deliveries returns how many async messages the drivers drained.
-func (p *Pacer) Deliveries() int64 { return p.deliveries.Load() }
+func (p *Pacer) Deliveries() int64 { return p.stats.deliveries.Load() }
 
 // Errors returns how many activation errors were absorbed.
-func (p *Pacer) Errors() int64 { return p.errors.Load() }
+func (p *Pacer) Errors() int64 { return p.stats.errors.Load() }
 
 // Close stops the drivers and waits for them to finish. The system
 // itself stays up (components remain started); a pacer can be
@@ -202,6 +159,12 @@ func (p *Pacer) Close() {
 	if !p.started {
 		return
 	}
+	p.halt()
+	p.started = false
+}
+
+// halt stops the drivers and joins them.
+func (p *Pacer) halt() {
 	close(p.stop)
 	// Arrival-driven drivers wait on their wake channel alone, the
 	// cheapest wait: wake them to see the stop.
@@ -211,5 +174,4 @@ func (p *Pacer) Close() {
 		}
 	}
 	p.wg.Wait()
-	p.started = false
 }

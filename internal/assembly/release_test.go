@@ -15,20 +15,28 @@ import (
 )
 
 // relaySystem deploys Source -> Sink over one asynchronous binding,
-// both in one real-time domain. Source serves "in" and sends on "out";
-// Sink serves "in".
+// both in one real-time domain in immortal memory. Source serves "in"
+// and sends on "out"; Sink serves "in".
 func relaySystem(tb testing.TB, srcAct, snkAct model.Activation, src, snk membrane.Content, bufferSize int) *System {
 	tb.Helper()
+	return relaySystemIn(tb, model.DomainDesc{Kind: model.RealtimeThread, Priority: 20},
+		model.AreaDesc{Kind: model.ImmortalMemory}, srcAct, snkAct, src, snk, bufferSize)
+}
+
+// relaySystemIn is relaySystem with both components in a thread domain
+// "td" and a memory area "mem" of the given descriptions.
+func relaySystemIn(tb testing.TB, domain model.DomainDesc, area model.AreaDesc, srcAct, snkAct model.Activation, src, snk membrane.Content, bufferSize int) *System {
+	tb.Helper()
 	a := model.NewArchitecture("relay")
-	td, _ := a.NewThreadDomain("rt", model.DomainDesc{Kind: model.RealtimeThread, Priority: 20})
-	imm, _ := a.NewMemoryArea("imm", model.AreaDesc{Kind: model.ImmortalMemory})
+	td, _ := a.NewThreadDomain("td", domain)
+	mem, _ := a.NewMemoryArea("mem", area)
 	must := func(err error) {
 		tb.Helper()
 		if err != nil {
 			tb.Fatal(err)
 		}
 	}
-	must(a.AddChild(imm, td))
+	must(a.AddChild(mem, td))
 	for _, c := range []struct {
 		name, content string
 		act           model.Activation

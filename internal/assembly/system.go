@@ -3,6 +3,7 @@ package assembly
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soleil/internal/comm"
@@ -355,17 +356,21 @@ func (s *System) bufferAreaOf(cli, srv *model.Component) (*memory.Area, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ma != nil && ma.Area().Kind == model.ScopedMemory {
+	return s.enclosingArea(ma), nil
+}
+
+// enclosingArea returns the region of memory area ma, walking out of
+// scoped areas to the nearest non-scoped enclosing one, falling back
+// to immortal.
+func (s *System) enclosingArea(ma *model.Component) *memory.Area {
+	for ma.Area().Kind == model.ScopedMemory {
 		supers := ma.SupersOfKind(model.MemoryArea)
 		if len(supers) == 0 {
-			return s.mem.Immortal(), nil
+			return s.mem.Immortal()
 		}
 		ma = supers[0]
 	}
-	if ma == nil {
-		return s.mem.Immortal(), nil
-	}
-	return s.areas[ma.Name()], nil
+	return s.areas[ma.Name()]
 }
 
 func (s *System) buildNodes(cfg Config) error {
@@ -626,13 +631,17 @@ func (s *System) buildThreads() error {
 		if err != nil {
 			return err
 		}
-		area, err := s.runtimeAreaOf(c)
+		ma, err := s.arch.EffectiveMemoryArea(c)
 		if err != nil {
 			return err
 		}
-		node := s.nodes[c.Name()]
+		// The thread is rooted outside a scope, which its loop enters
+		// for each release only (threadBody); an NHRT stays off heap.
+		area := s.enclosingArea(ma)
+		if area.Kind() == memory.Heap && td.Domain().Kind == model.NoHeapRealtimeThread {
+			area = s.mem.Immortal()
+		}
 		act := c.Activation()
-		body := s.threadBody(node, act.Kind)
 		var onMiss func(sched.MissInfo)
 		if s.metrics != nil {
 			cm := s.metrics.Component(c.Name())
@@ -648,30 +657,27 @@ func (s *System) buildThreads() error {
 			Priority:    sched.Priority(td.Domain().Priority),
 			Release:     releaseOf(act),
 			InitialArea: area,
-			Run:         body,
-			OnMiss:      onMiss,
+			Run: func(env *thread.Env) {
+				wait := func(int, bool) bool { return env.Sched().WaitForRelease() }
+				if c.Activation().Kind == model.PeriodicActivation {
+					wait = func(int, bool) bool { return env.Sched().WaitForNextPeriod() }
+				}
+				s.threadBody(env, c, s.resilient, new(loopStats), wait)
+			},
+			OnMiss: onMiss,
 		})
 		if err != nil {
 			return fmt.Errorf("assembly: spawning %q: %w", c.Name(), err)
 		}
 		s.threads[c.Name()] = th
-		// Arrivals release sporadic tasks only: a periodic server
-		// drains at its period boundaries, and the scheduler refuses
-		// to fire any other kind.
-		if act.Kind == model.SporadicActivation {
+		// Arrivals release every receiver but a periodic one, which
+		// drains at its period boundaries (the scheduler refuses to
+		// fire it).
+		if act.Kind != model.PeriodicActivation {
 			s.holders[c.Name()].task = th.Task()
 		}
 	}
 	return nil
-}
-
-// step runs one thread-body operation. In resilient mode a panic is
-// converted into an error, and any error is recorded but does not
-// terminate the thread — the component degrades while the rest of the
-// system keeps running. The return value reports whether the loop
-// must stop.
-func (s *System) step(name string, fn func() error) (stop bool) {
-	return s.absorb(name, s.resilient, fn) != nil && !s.resilient
 }
 
 // absorb runs one operation of the named component and records its
@@ -691,44 +697,72 @@ func (s *System) absorb(name string, recoverPanics bool, fn func() error) (err e
 	return fn()
 }
 
-// threadBody produces the generated activation loop of an active
-// component: periodic components run their own logic every period,
-// sporadic components drain their inbound messages on every release,
-// and aperiodic components run once.
-func (s *System) threadBody(node Node, kind model.ActivationKind) func(*thread.Env) {
-	switch kind {
-	case model.PeriodicActivation:
-		return func(env *thread.Env) {
-			for {
-				// Periodic components process any messages pending
-				// from asynchronous bindings at each period boundary
-				// (arrivals do not release them — the validator's
-				// RT10 warning), then run their own logic.
-				if s.step(node.Name(), func() error { _, err := node.Deliver(env); return err }) {
-					return
-				}
-				if s.step(node.Name(), func() error { return node.Activate(env) }) {
-					return
-				}
-				if !env.Sched().WaitForNextPeriod() {
-					return
-				}
-			}
+// loopStats counts the work of activation loops; a Pacer reports its
+// drivers' totals.
+type loopStats struct {
+	activations, deliveries, errors atomic.Int64
+}
+
+// threadBody runs the generated activation loop of an active component
+// (the paper's Fig. 5), the one loop both clocks run: RunFor's
+// scheduler as the component's thread body, a Pacer on a wall-clock
+// driver. An aperiodic component activates once; then every release
+// drains the inbound buffers, activates a periodic component, and
+// waits. Only the wait depends on the clock: it is told how many
+// messages the drain delivered and whether it completed, and returns
+// false to stop. A resilient loop records errors and panics and goes
+// on; otherwise the first error ends it. st counts the loop's work.
+// A component in scoped memory enters its scope for each drain and
+// activation, from the area its thread is rooted in: a release's
+// allocations there are reclaimed, and crossings into the scope from
+// that area keep to its single parent.
+func (s *System) threadBody(env *thread.Env, c *model.Component, resilient bool, st *loopStats, wait func(delivered int, drained bool) bool) {
+	node, kind := s.nodes[c.Name()], c.Activation().Kind
+	area, err := s.runtimeAreaOf(c)
+	if err != nil {
+		s.recordErr(err)
+		return
+	}
+	inArea := func(fn func() error) func() error {
+		if area.Kind() != memory.Scoped {
+			return fn
 		}
-	case model.SporadicActivation:
-		return func(env *thread.Env) {
-			for {
-				if s.step(node.Name(), func() error { _, err := node.Deliver(env); return err }) {
-					return
-				}
-				if !env.Sched().WaitForRelease() {
-					return
-				}
-			}
+		return func() error { return env.Mem().Enter(area, fn) }
+	}
+	// ok runs one operation and reports whether it succeeded.
+	ok := func(fn func() error) bool {
+		if s.absorb(node.Name(), resilient, fn) == nil {
+			return true
 		}
-	default:
-		return func(env *thread.Env) {
-			s.step(node.Name(), func() error { return node.Activate(env) })
+		st.errors.Add(1)
+		return false
+	}
+	var n int // messages the last drain delivered
+	deliver := inArea(func() (err error) {
+		n, err = node.Deliver(env)
+		st.deliveries.Add(int64(n))
+		return err
+	})
+	activate := inArea(func() error {
+		err := node.Activate(env)
+		if err == nil {
+			st.activations.Add(1)
+		}
+		return err
+	})
+	if kind == model.AperiodicActivation && !ok(activate) && !resilient {
+		return
+	}
+	for {
+		drained := ok(deliver)
+		if !drained && !resilient {
+			return
+		}
+		if kind == model.PeriodicActivation && !ok(activate) && !resilient {
+			return
+		}
+		if !wait(n, drained) {
+			return
 		}
 	}
 }

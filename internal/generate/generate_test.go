@@ -2,13 +2,13 @@ package generate
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"soleil/internal/adl"
 	"soleil/internal/assembly"
 	"soleil/internal/fixture"
 	"soleil/internal/model"
@@ -186,6 +186,45 @@ func TestMergeFilesErrors(t *testing.T) {
 	}
 }
 
+// runGenerated generates the program of arch in mode, then runs it
+// with each argument list in turn and returns the outputs.
+func runGenerated(t *testing.T, arch *model.Architecture, mode assembly.Mode, runs ...[]string) []string {
+	t.Helper()
+	files, err := Generate(arch, Options{Mode: mode, Main: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := os.MkdirTemp("testdata", "gen_")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.RemoveAll(dir) })
+	if err := WriteFiles(dir, files); err != nil {
+		t.Fatal(err)
+	}
+	// The test runs in internal/generate; go run resolves the
+	// generated package from the repo root.
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := "./" + filepath.ToSlash(filepath.Join("internal", "generate", dir))
+	var outs []string
+	for _, args := range runs {
+		cmd := exec.Command("go", append([]string{"run", pkg}, args...)...)
+		cmd.Dir = root
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("go run (%v): %v\n%s", args, err, out)
+		}
+		outs = append(outs, string(out))
+	}
+	return outs
+}
+
 // TestGeneratedProgramsCompileAndRun is the generator's end-to-end
 // check: the generated infrastructure for every mode must compile with
 // the host toolchain and execute the motivation example's transaction
@@ -198,53 +237,61 @@ func TestGeneratedProgramsCompileAndRun(t *testing.T) {
 	for _, mode := range []assembly.Mode{assembly.Soleil, assembly.MergeAll, assembly.UltraMerge} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			files, err := Generate(arch, Options{Mode: mode, Main: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := filepath.Join("testdata", fmt.Sprintf("gen_%d", mode))
-			if err := WriteFiles(dir, files); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = os.RemoveAll(dir) })
-
-			// The test runs in internal/generate; go run resolves the
-			// generated package from the repo root.
-			root, err := filepath.Abs(filepath.Join("..", ".."))
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(args ...string) string {
-				t.Helper()
-				pkg := "./" + filepath.ToSlash(filepath.Join("internal", "generate", dir))
-				cmd := exec.Command("go", append([]string{"run", pkg}, args...)...)
-				cmd.Dir = root
-				out, err := cmd.CombinedOutput()
-				if err != nil {
-					t.Fatalf("go run (%v): %v\n%s", args, err, out)
-				}
-				return string(out)
-			}
+			outs := runGenerated(t, arch, mode, []string{"-iterations", "100"}, []string{"-sim", "95ms"})
 
 			// Synchronous transactions: 100 iterations -> the line
 			// produced 100, the monitor and audit each served 100.
-			out := run("-iterations", "100")
 			for _, want := range []string{
 				"MonitoringSystem         invocations=100",
 				"Audit                    invocations=100",
 				"Console", // displayed on every invocation of the stub chain? see below
 			} {
-				if !strings.Contains(out, want) {
-					t.Errorf("sync output missing %q:\n%s", want, out)
+				if !strings.Contains(outs[0], want) {
+					t.Errorf("sync output missing %q:\n%s", want, outs[0])
 				}
 			}
 
 			// Scheduled simulation: 95ms of virtual time with a 10ms
 			// production period -> 10 releases flow through the system.
-			out = run("-sim", "95ms")
-			if !strings.Contains(out, "MonitoringSystem         invocations=10") {
-				t.Errorf("sim output unexpected:\n%s", out)
+			if !strings.Contains(outs[1], "MonitoringSystem         invocations=10") {
+				t.Errorf("sim output unexpected:\n%s", outs[1])
 			}
 		})
+	}
+}
+
+// TestGeneratedLoopDrainsEveryServerKind runs the factory example's
+// generated program on the simulated scheduler with MonitoringSystem,
+// the server of the production line's asynchronous binding, made
+// aperiodic and then periodic at the line's 10ms period. The generated
+// activation loop is the runtime's: an aperiodic server drains on
+// every arrival, a periodic one at each period boundary, so in every
+// mode all 10 messages of 95ms are served.
+func TestGeneratedLoopDrainsEveryServerKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiling generated programs is slow")
+	}
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "factory", "factory.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sporadic = `<ActiveComponent name="MonitoringSystem" type="sporadic">`
+	for _, kind := range []string{`type="aperiodic"`, `type="periodic" periodicity="10ms"`} {
+		xml := strings.Replace(string(src), sporadic, `<ActiveComponent name="MonitoringSystem" `+kind+`>`, 1)
+		if xml == string(src) {
+			t.Fatal("factory.xml no longer declares a sporadic MonitoringSystem")
+		}
+		arch, err := adl.DecodeString(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []assembly.Mode{assembly.Soleil, assembly.MergeAll, assembly.UltraMerge} {
+			t.Run(kind+"/"+mode.String(), func(t *testing.T) {
+				out := runGenerated(t, arch, mode, []string{"-sim", "95ms"})[0]
+				if !strings.Contains(out, "MonitoringSystem         invocations=10\n") {
+					t.Errorf("sim output unexpected:\n%s", out)
+				}
+			})
+		}
 	}
 }

@@ -187,16 +187,21 @@ func (s *System) RunSimulation(d time.Duration) error {
 				{{- end}}
 			},
 			InitialArea: {{.AreaExpr}},
+			// The activation loop: an aperiodic component activates
+			// once; then every release drains the inbound buffers,
+			// activates a periodic component, and waits for the next
+			// release (arrivals release the non-periodic kinds).
 			Run: func(env *thread.Env) {
+{{- if not (or .Periodic .Sporadic)}}
+				if err := s.Activate{{.CompGoName}}(env); err != nil {
+					return
+				}
+{{- end}}
 				for {
-{{- if .Sporadic}}
 					if _, err := s.Deliver{{.CompGoName}}(env); err != nil {
 						return
 					}
-					if !env.Sched().WaitForRelease() {
-						return
-					}
-{{- else if .Periodic}}
+{{- if .Periodic}}
 					if err := s.Activate{{.CompGoName}}(env); err != nil {
 						return
 					}
@@ -204,8 +209,9 @@ func (s *System) RunSimulation(d time.Duration) error {
 						return
 					}
 {{- else}}
-					_ = s.Activate{{.CompGoName}}(env)
-					return
+					if !env.Sched().WaitForRelease() {
+						return
+					}
 {{- end}}
 				}
 			},
@@ -213,9 +219,15 @@ func (s *System) RunSimulation(d time.Duration) error {
 		if err != nil {
 			return err
 		}
+{{- if .Periodic}}
+		_ = th
+{{- else}}
 		tasks[{{printf "%q" .CompVar}}] = th.Task()
+{{- end}}
 	}
 {{- end}}
+	// Arrivals release sporadic and aperiodic servers; a periodic
+	// one drains at its period boundaries.
 {{- range .Buffers}}
 	if t := tasks[{{printf "%q" .ServerVar}}]; t != nil {
 		err := s.{{.ClientVar}}.binds.Bind({{printf "%q" .ClientItf}},

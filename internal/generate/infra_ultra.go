@@ -43,8 +43,8 @@ type System struct {
 {{- range .Buffers}}
 	{{.Var}} *comm.RTBuffer
 {{- end}}
-{{- range .Components}}{{if .Sporadic}}
-	{{.Var}}Task *sched.Task
+{{- range .Components}}{{if .Active}}
+	{{.Var}}Task *sched.Task // nil for a periodic component: arrivals do not release it
 {{- end}}{{end}}
 }
 
@@ -200,16 +200,21 @@ func (s *System) RunSimulation(d time.Duration) error {
 				{{- end}}
 			},
 			InitialArea: {{.AreaExpr}},
+			// The activation loop: an aperiodic component activates
+			// once; then every release drains the inbound buffers,
+			// activates a periodic component, and waits for the next
+			// release (arrivals release the non-periodic kinds).
 			Run: func(env *thread.Env) {
+{{- if not (or .Periodic .Sporadic)}}
+				if err := s.Activate{{.CompGoName}}(env); err != nil {
+					return
+				}
+{{- end}}
 				for {
-{{- if .Sporadic}}
 					if _, err := s.Deliver{{.CompGoName}}(env); err != nil {
 						return
 					}
-					if !env.Sched().WaitForRelease() {
-						return
-					}
-{{- else if .Periodic}}
+{{- if .Periodic}}
 					if err := s.Activate{{.CompGoName}}(env); err != nil {
 						return
 					}
@@ -217,8 +222,9 @@ func (s *System) RunSimulation(d time.Duration) error {
 						return
 					}
 {{- else}}
-					_ = s.Activate{{.CompGoName}}(env)
-					return
+					if !env.Sched().WaitForRelease() {
+						return
+					}
 {{- end}}
 				}
 			},
@@ -226,7 +232,7 @@ func (s *System) RunSimulation(d time.Duration) error {
 		if err != nil {
 			return err
 		}
-{{- if .Sporadic}}
+{{- if not .Periodic}}
 		s.{{.CompVar}}Task = th.Task()
 {{- else}}
 		_ = th

@@ -10,12 +10,12 @@ var sink any
 //
 //soleil:noheap
 func handler(xs []int) int {
-	s := make([]int, 4)    // want `SA01 .*make allocates`
-	s = append(s, xs...)   // want `SA01 .*append allocates`
-	m := map[string]int{}  // want `SA01 .*composite literal allocates`
-	p := &point{x: 1}      // want `SA01 .*&composite literal allocates`
-	fmt.Println(len(s))    // want `SA01 .*fmt\.Println allocates`
-	go background()        // want `SA01 .*go statement allocates`
+	s := make([]int, 4)   // want `SA01 .*make allocates`
+	s = append(s, xs...)  // want `SA01 .*append allocates`
+	m := map[string]int{} // want `SA01 .*composite literal allocates`
+	p := &point{x: 1}     // want `SA01 .*&composite literal allocates`
+	fmt.Println(len(s))   // want `SA01 .*fmt\.Println allocates`
+	go background()       // want `SA01 .*go statement allocates`
 	helper()
 	return len(s) + len(m) + p.x
 }

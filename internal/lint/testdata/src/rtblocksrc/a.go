@@ -20,9 +20,9 @@ func (c *component) Invoke(op string) (any, error) {
 	time.Sleep(time.Millisecond) // want `SA03 .*time\.Sleep blocks a run-to-completion section`
 	c.mu.Lock()                  // want `SA03 .*sync\.Mutex\.Lock may block`
 	c.mu.Unlock()
-	c.wg.Wait()  // want `SA03 .*sync\.WaitGroup\.Wait may block`
-	v := <-c.ch  // want `SA03 .*channel receive may block`
-	c.ch <- v    // want `SA03 .*channel send may block`
+	c.wg.Wait() // want `SA03 .*sync\.WaitGroup\.Wait may block`
+	v := <-c.ch // want `SA03 .*channel receive may block`
+	c.ch <- v   // want `SA03 .*channel send may block`
 	c.slowStore(v)
 	return v, nil
 }

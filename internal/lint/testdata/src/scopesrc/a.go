@@ -25,9 +25,9 @@ func bad(c *ctx, a *area, h *holder) {
 	var captured *int
 	c.Enter(a, func() error {
 		v := new(int)
-		leaked = v          // want `SA02 .*escapes into longer-lived package-level var leaked`
-		captured = v        // want `SA02 .*escapes into longer-lived captured variable captured`
-		h.p = new(int)      // want `SA02 .*new allocated inside Enter scope.*field p of outer object h`
+		leaked = v            // want `SA02 .*escapes into longer-lived package-level var leaked`
+		captured = v          // want `SA02 .*escapes into longer-lived captured variable captured`
+		h.p = new(int)        // want `SA02 .*new allocated inside Enter scope.*field p of outer object h`
 		h.xs = make([]int, 4) // want `SA02 .*make allocated inside Enter scope`
 		return nil
 	})

@@ -31,7 +31,7 @@ func (l *leaky) Invoke(itf, op string, arg any) (any, error) {
 			l.n++
 		}
 	}()
-	go l.drain()            // bounded: the range ends when the channel closes
+	go l.drain()               // bounded: the range ends when the channel closes
 	go l.serve(context.TODO()) // bounded: the loop selects on ctx.Done()
 	return nil, nil
 }

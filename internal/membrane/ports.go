@@ -15,10 +15,10 @@ import (
 // with errors.Is and fall back to Call.
 var ErrSyncPort = errors.New("membrane: synchronous binding; use Call")
 
-// FirePort wraps a port so that each Send also releases a sporadic
+// FirePort wraps a port so that each Send also releases the receiving
 // task when running under the simulated scheduler — the generated
-// infrastructure's hook between asynchronous bindings and sporadic
-// activation.
+// infrastructure's hook between asynchronous bindings and arrival
+// (sporadic or aperiodic) activation.
 type FirePort struct {
 	Inner Port
 	Task  *sched.Task

@@ -69,27 +69,27 @@ func (tc *TaskContext) WaitForNextPeriod() bool {
 }
 
 // WaitForRelease completes the current release and blocks until the
-// task's next sporadic arrival (respecting the minimum interarrival
-// time). It returns false when the task is not sporadic or the
-// scheduler stopped.
+// task's next arrival (respecting a sporadic task's minimum
+// interarrival time). It returns false for a periodic task or once
+// the scheduler stopped.
 func (tc *TaskContext) WaitForRelease() bool {
-	if tc.t.release.Kind != Sporadic {
+	if tc.t.release.Kind == Periodic {
 		return false
 	}
 	tc.t.submit(&call{kind: callWaitRelease})
 	return !tc.t.block().stopped
 }
 
-// Fire releases the sporadic task target. The arrival is timestamped
-// now; arrivals closer together than the target's minimum
-// interarrival time are deferred.
+// Fire releases the sporadic or aperiodic task target. The arrival is
+// timestamped now; arrivals closer together than a sporadic target's
+// minimum interarrival time are deferred.
 func (tc *TaskContext) Fire(target *Task) error {
 	if target == nil {
 		return fmt.Errorf("sched: fire of nil task")
 	}
-	if target.release.Kind != Sporadic {
-		return fmt.Errorf("sched: task %q is %v, only sporadic tasks can be fired",
-			target.name, target.release.Kind)
+	if target.release.Kind == Periodic {
+		return fmt.Errorf("sched: task %q is periodic; only sporadic and aperiodic tasks can be fired",
+			target.name)
 	}
 	c := &call{kind: callFire, target: target, err: make(chan error, 1)}
 	tc.t.submit(c)

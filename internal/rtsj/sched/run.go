@@ -290,11 +290,12 @@ func (s *Scheduler) handle(c *call) {
 	}
 }
 
-// fireArrival records a sporadic arrival at time now, deferring it per
-// the task's minimum interarrival time.
+// fireArrival records an arrival at time now, deferring it per a
+// sporadic task's minimum interarrival time. An arrival at a task not
+// waiting for one (busy, or aperiodic before its start) is queued.
 func (s *Scheduler) fireArrival(t *Task, now clock.Time) {
 	eff := now
-	if t.anyScheduled {
+	if t.anyScheduled && t.release.Kind == Sporadic {
 		if min := t.lastScheduled.Add(t.release.MinInterarrival); min > eff {
 			eff = min
 		}

@@ -57,7 +57,8 @@ type TaskConfig struct {
 	// Body is the task's code. Periodic bodies are first invoked at
 	// the first release and typically loop on WaitForNextPeriod;
 	// sporadic bodies are first invoked at the first arrival and loop
-	// on WaitForRelease.
+	// on WaitForRelease; aperiodic bodies are first invoked at Start
+	// and may loop on WaitForRelease too.
 	Body func(*TaskContext)
 	// OnMiss, if set, is invoked by the kernel when a monitored
 	// deadline passes without completion. It runs inside the kernel:

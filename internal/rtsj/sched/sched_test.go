@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -564,8 +565,17 @@ func TestWaitMismatchedKind(t *testing.T) {
 			if tc.WaitForNextPeriod() {
 				t.Error("WFNP true for aperiodic")
 			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.NewTask(TaskConfig{
+		Name: "p", Priority: 20,
+		Release: Release{Kind: Periodic, Period: 10 * ms},
+		Body: func(tc *TaskContext) {
 			if tc.WaitForRelease() {
-				t.Error("WaitForRelease true for aperiodic")
+				t.Error("WaitForRelease true for periodic")
 			}
 		},
 	})
@@ -575,6 +585,77 @@ func TestWaitMismatchedKind(t *testing.T) {
 	if err := s.Run(ms); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFireAperiodic covers firing an aperiodic task: each arrival
+// after its start release releases it, with no minimum interarrival
+// time, and an arrival before its start release is queued behind it.
+// (TestFireValidation checks that a periodic task is still refused.)
+func TestFireAperiodic(t *testing.T) {
+	// run fires the aperiodic task "ap" (start release at 5ms) at the
+	// given offsets from a higher-priority periodic driver, and returns
+	// the nominal times of ap's releases.
+	run := func(t *testing.T, fireAt ...clock.Duration) []clock.Time {
+		t.Helper()
+		s := New()
+		var releases []clock.Time
+		ap, err := s.NewTask(TaskConfig{
+			Name: "ap", Priority: 15,
+			Release: Release{Kind: Aperiodic, Start: 5 * ms},
+			Body: func(tc *TaskContext) {
+				for {
+					releases = append(releases, tc.ReleaseTime())
+					if !tc.WaitForRelease() {
+						return
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.NewTask(TaskConfig{
+			Name: "driver", Priority: 20,
+			Release: Release{Kind: Periodic, Period: ms},
+			Body: func(tc *TaskContext) {
+				for {
+					for _, at := range fireAt {
+						if tc.Now() == clock.Time(at) {
+							if err := tc.Fire(ap); err != nil {
+								t.Errorf("fire at %v: %v", at, err)
+							}
+						}
+					}
+					if !tc.WaitForNextPeriod() {
+						return
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(20 * ms); err != nil {
+			t.Fatal(err)
+		}
+		return releases
+	}
+
+	t.Run("after start release", func(t *testing.T) {
+		got := run(t, 8*ms, 9*ms, 12*ms)
+		want := []clock.Time{clock.Time(5 * ms), clock.Time(8 * ms), clock.Time(9 * ms), clock.Time(12 * ms)}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("releases at %v, want %v", got, want)
+		}
+	})
+
+	t.Run("before start release", func(t *testing.T) {
+		got := run(t, 2*ms)
+		want := []clock.Time{clock.Time(5 * ms), clock.Time(2 * ms)}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("releases at %v, want the start release then the queued arrival %v", got, want)
+		}
+	})
 }
 
 func TestPriorityPredicates(t *testing.T) {

@@ -50,7 +50,8 @@ const (
 	// Sporadic tasks are released by Fire, with a minimum
 	// interarrival time enforced by deferring early arrivals.
 	Sporadic
-	// Aperiodic tasks are released once, at Start.
+	// Aperiodic tasks are released at Start, then by Fire with no
+	// minimum interarrival time.
 	Aperiodic
 )
 

@@ -154,6 +154,7 @@ type Thread struct {
 	name string
 	kind Kind
 	task *sched.Task
+	area *memory.Area
 
 	mu  sync.Mutex
 	err error
@@ -175,6 +176,18 @@ func (t *Thread) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
+}
+
+// NewEnv builds the environment the thread's body runs in, for
+// running that body outside the simulated scheduler (tc is nil then):
+// an allocation context in the thread's initial area, no-heap for an
+// NHRT. The returned function closes the context.
+func (t *Thread) NewEnv(tc *sched.TaskContext) (*Env, func(), error) {
+	mctx, err := memory.NewContext(t.area, t.kind == NoHeap)
+	if err != nil {
+		return nil, nil, fmt.Errorf("thread %q: %w", t.name, err)
+	}
+	return &Env{tc: tc, mem: mctx}, mctx.Close, nil
 }
 
 func (t *Thread) setErr(err error) {
@@ -215,20 +228,20 @@ func (r *Runtime) Spawn(cfg Config) (*Thread, error) {
 		return nil, fmt.Errorf("thread: %q has unknown kind %v", cfg.Name, cfg.Kind)
 	}
 
-	th := &Thread{name: cfg.Name, kind: cfg.Kind}
+	th := &Thread{name: cfg.Name, kind: cfg.Kind, area: cfg.InitialArea}
 	task, err := r.sched.NewTask(sched.TaskConfig{
 		Name:     cfg.Name,
 		Priority: cfg.Priority,
 		Release:  cfg.Release,
 		OnMiss:   cfg.OnMiss,
 		Body: func(tc *sched.TaskContext) {
-			mctx, err := memory.NewContext(cfg.InitialArea, cfg.Kind == NoHeap)
+			env, closeEnv, err := th.NewEnv(tc)
 			if err != nil {
-				th.setErr(fmt.Errorf("thread %q: %w", cfg.Name, err))
+				th.setErr(err)
 				return
 			}
-			defer mctx.Close()
-			cfg.Run(&Env{tc: tc, mem: mctx})
+			defer closeEnv()
+			cfg.Run(env)
 		},
 	})
 	if err != nil {

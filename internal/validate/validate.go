@@ -131,7 +131,7 @@ var Rules = map[string]string{
 	"RT07": "bindings crossing memory areas carry an applicable cross-scope communication pattern",
 	"RT08": "synchronous bindings from no-heap domains must not reach heap-allocated servers",
 	"RT09": "heap or immortal MemoryAreas are not nested inside scoped areas",
-	"RT10": "asynchronous bindings terminate at sporadic active components",
+	"RT10": "asynchronous bindings terminate at active components that arrivals release (sporadic or aperiodic)",
 	"RT11": "functional primitives declare a content class (needed for infrastructure generation)",
 	"RT12": "periodic components with cost budgets pass response-time analysis within their ThreadDomain priorities",
 	"RT13": "asynchronous buffers hold what a periodic producer sends between two releases of the server (each release drains the buffer)",
@@ -314,14 +314,14 @@ func (v *validator) checkBindings() {
 				"use an asynchronous binding with a non-heap buffer (deep-copy pattern)")
 		}
 
-		// RT10: async servers must be sporadic actives.
+		// RT10: async servers must be actives that arrivals release.
 		if b.Protocol == model.Asynchronous {
 			if srv.Kind() != model.Active {
 				v.add("RT10", Error, subject,
 					fmt.Sprintf("asynchronous binding terminates at %s component %q, which has no thread to process messages",
 						srv.Kind(), srv.Name()),
 					"make the server a sporadic active component")
-			} else if srv.Activation().Kind != model.SporadicActivation {
+			} else if srv.Activation().Kind == model.PeriodicActivation {
 				v.add("RT10", Warning, subject,
 					fmt.Sprintf("asynchronous binding terminates at %s active component %q; arrivals will not trigger releases",
 						srv.Activation().Kind, srv.Name()),

@@ -286,6 +286,43 @@ func TestRT10AsyncIntoPassive(t *testing.T) {
 	}
 }
 
+// TestRT10WarnsOnlyForPeriodicServers: arrivals release sporadic and
+// aperiodic servers, so only an asynchronous binding into a periodic
+// server draws the RT10 warning.
+func TestRT10WarnsOnlyForPeriodicServers(t *testing.T) {
+	for _, c := range []struct {
+		act  model.Activation
+		warn bool
+	}{
+		{model.Activation{Kind: model.PeriodicActivation, Period: 10 * time.Millisecond}, true},
+		{model.Activation{Kind: model.SporadicActivation}, false},
+		{model.Activation{Kind: model.AperiodicActivation}, false},
+	} {
+		a, act, td, _ := scaffold(t)
+		if err := act.AddInterface(model.Interface{Name: "out", Role: model.ClientRole, Signature: "I"}); err != nil {
+			t.Fatal(err)
+		}
+		srv, _ := a.NewActive("srv", c.act)
+		_ = srv.SetContent("Srv")
+		if err := srv.AddInterface(model.Interface{Name: "in", Role: model.ServerRole, Signature: "I"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AddChild(td, srv); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Bind(model.Binding{
+			Client:   model.Endpoint{Component: "act", Interface: "out"},
+			Server:   model.Endpoint{Component: "srv", Interface: "in"},
+			Protocol: model.Asynchronous, BufferSize: 4,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if warned := len(Validate(a).ByRule("RT10")) > 0; warned != c.warn {
+			t.Errorf("%v server: RT10 warned %v, want %v", c.act.Kind, warned, c.warn)
+		}
+	}
+}
+
 func TestRT11MissingContentIsWarning(t *testing.T) {
 	a, _, td, imm := scaffold(t)
 	bare, _ := a.NewActive("bare", model.Activation{Kind: model.SporadicActivation})
